@@ -60,34 +60,6 @@ BASELINE_SEED = {
 
 
 #: Trajectory fingerprint of the canonical functional Jacobi cell at the
-#: PR 8 commit (a0b19e2), captured with the same ``_jacobi_fingerprint``
-#: shape. ``batched_round_trips=False`` must reproduce this dict exactly --
-#: the --check-batched-rt gate in tools/bench_report.py compares them.
-PR8_FINGERPRINT = {
-    "grid_sha256": ("2b3e7a116b07bdfd16475c9584b7b7e1"
-                    "8394155fdfc4cc67038985f54f9e34b2"),
-    "gdiff": 7.8125,
-    "elapsed": 0.001379653349999996,
-    "events_scheduled": 849,
-    "cache_counters": {
-        "diff_bytes": 512,
-        "diffs_taken": 166,
-        "fine_grain_bytes": 480,
-        "installs": 292,
-        "invalidations": 174,
-        "page_touches": 489,
-        "prefetch_hits": 113,
-        "prefetch_installs": 189,
-        "read_bytes": 848096,
-        "reads": 49,
-        "twins_created": 182,
-        "write_bytes": 897144,
-        "writes": 37,
-    },
-}
-
-
-#: Trajectory fingerprint of the canonical functional Jacobi cell at the
 #: PR 9 commit (de37097), captured with the same ``_jacobi_fingerprint``
 #: shape. The default configuration (gray-failure machinery off) must
 #: reproduce this dict exactly -- the --check-grayfail-off gate in
@@ -441,33 +413,26 @@ def _prefetch_campaign(config) -> dict:
 
 
 def prefetch_comparison() -> dict:
-    """Compat vs adaptive data plane over the Jacobi smoke campaign.
+    """The stride prefetcher over the Jacobi smoke campaign.
 
     The ``--check-prefetch`` gate in tools/bench_report.py reads this
     block: remote line fetches (``fetch_requests``, one per home-server
-    round trip) must drop by the gated fraction, prefetch accuracy must
-    clear the gated floor, and the adaptive plane must not schedule more
-    DES events than the compat plane.
+    round trip) and scheduled DES events must stay at or under the gate's
+    ceilings, and prefetch accuracy must clear the gated floor.
     """
-    from repro.core.params import SamhitaConfig
+    from repro.core.params import PrefetchPolicy, SamhitaConfig
 
-    compat = _prefetch_campaign(SamhitaConfig.compat_cache())
-    adaptive = _prefetch_campaign(SamhitaConfig.adaptive_cache())
-    installs = adaptive["prefetch_installs"]
-    fetch_reduction = (1.0 - adaptive["fetch_requests"]
-                       / compat["fetch_requests"]
-                       if compat["fetch_requests"] else None)
+    stride = _prefetch_campaign(
+        SamhitaConfig(prefetch=PrefetchPolicy(mode="stride")))
+    installs = stride["prefetch_installs"]
     return {
         "campaign": ("jacobi 64x256x3 functional cell + "
                      f"{PREFETCH_GATE_FIGURE} --quick samhita cells"),
-        "compat": compat,
-        "adaptive": adaptive,
-        "fetch_reduction": (round(fetch_reduction, 4)
-                            if fetch_reduction is not None else None),
-        "prefetch_accuracy": (round(adaptive["prefetch_hits"] / installs, 4)
+        "stride": stride,
+        "prefetch_accuracy": (round(stride["prefetch_hits"] / installs, 4)
                               if installs else 1.0),
-        "accuracy_note": ("accuracy over adaptive-mode installs; an "
-                          "install-free campaign (everything batched on "
+        "accuracy_note": ("accuracy over stride-mode installs; an "
+                          "install-free campaign (everything fetched on "
                           "demand) counts as perfectly accurate"),
     }
 
@@ -616,58 +581,35 @@ def _rt_request_totals(config) -> dict:
 
 
 def batched_rt_comparison() -> dict:
-    """Batched vs per-operation protocol shape; the --check-batched-rt
-    gate's evidence.
+    """Modeled round-trip requests of the batched protocol; the
+    --check-batched-rt gate's evidence.
 
-    Three facts recorded:
-
-    * the ``batched_round_trips=False`` trajectory fingerprint, compared
-      against :data:`PR8_FINGERPRINT` (the gate requires bit-identity --
-      off must be the PR 8 protocol, not a near miss);
-    * modeled round-trip request messages over the fig12 smoke cells,
-      batched off vs on (the gate requires the reduction factor);
-    * data identity between the two shapes on the canonical functional
-      cell (the batching may change timing, never bytes), plus the
-      on-state ``round_trips`` ledger snapshot.
+    Records the request messages over the fig12 smoke cells by category
+    (the gate holds their total to a ceiling) and the canonical
+    functional cell's ``round_trips`` ledger snapshot.
     """
-    from repro.core.params import SamhitaConfig
-
-    off_fp, _ = _jacobi_fingerprint(SamhitaConfig(batched_round_trips=False))
-    on_fp, on_result = _jacobi_fingerprint(None)
-    off_req = _rt_request_totals(SamhitaConfig(batched_round_trips=False))
-    on_req = _rt_request_totals(None)
-    reduction = (round(off_req["total"] / on_req["total"], 2)
-                 if on_req["total"] else None)
+    _, result = _jacobi_fingerprint(None)
     return {
         "campaign": ("fig12 --quick samhita cells (modeled round-trip "
-                     "request messages) + canonical jacobi cell "
-                     "(fingerprints)"),
+                     "request messages) + canonical jacobi cell (ledger)"),
         "request_categories": list(RT_REQUEST_CATEGORIES),
-        "off_requests": off_req,
-        "on_requests": on_req,
-        "trip_reduction": reduction,
-        "off_fingerprint": off_fp,
-        "pr8_fingerprint": PR8_FINGERPRINT,
-        "off_identical_to_pr8": off_fp == PR8_FINGERPRINT,
-        "data_identical_on_off": (
-            on_fp["grid_sha256"] == off_fp["grid_sha256"]
-            and on_fp["gdiff"] == off_fp["gdiff"]),
-        "round_trips": on_result.stats.get("round_trips"),
+        "requests": _rt_request_totals(None),
+        "round_trips": result.stats.get("round_trips"),
     }
 
 
 def _grayfail_fingerprint(config) -> dict:
-    """Gray-failure acceptance cell: the canonical grid at six Jacobi
-    iterations -- long enough for the backup's RTT window to warm up and
-    the slow-server storm to drive hedges and breaker opens."""
+    """Gray-failure acceptance cell: 8 threads on a 128x512 grid for six
+    Jacobi iterations -- enough concurrent fetches for the slow-server
+    storm's sheds to drain the retry budget and open breakers."""
     import hashlib
 
     from repro.experiments.harness import run_workload_direct
     from repro.kernels.jacobi import JacobiParams, spawn_jacobi
 
-    params = JacobiParams(rows=64, cols=256, iterations=6,
+    params = JacobiParams(rows=128, cols=512, iterations=6,
                           collect_result=True)
-    result = run_workload_direct("samhita", 4, spawn_jacobi, params,
+    result = run_workload_direct("samhita", 8, spawn_jacobi, params,
                                  functional=True, config=config)
     gdiff, grid = result.threads[0].value
     return {
@@ -684,14 +626,13 @@ def grayfail_comparison() -> dict:
 
     * the default-configuration trajectory fingerprint, compared against
       :data:`PR9_FINGERPRINT` (the off-gate requires bit-identity -- the
-      hedging/breaker/shedding machinery must be unreachable when off);
+      breaker/shedding machinery must be unreachable when off);
     * data identity between the clean grayfail deployment and the same
       deployment under a 10x slow-server storm (gray failures may change
       timing, never bytes);
-    * the hedged slowdown under that storm (the gate caps it at 2x);
+    * the storm slowdown (the gate caps it at 2x);
     * the ``hedges`` counter namespace from the storm run (the gate
-      requires hedges actually won and breakers actually opened), plus an
-      unhedged control run of the same storm for the comparison row.
+      requires breakers actually opened and servers actually shed).
     """
     from repro.core.params import SamhitaConfig
     from repro.faults import slow_server
@@ -699,28 +640,21 @@ def grayfail_comparison() -> dict:
     off_fp, _ = _jacobi_fingerprint(None)
     storm = slow_server(11, "node1", factor=10.0, start=2e-4, duration=1.0)
     clean, _ = _grayfail_fingerprint(SamhitaConfig.grayfail())
-    hedged, hedged_result = _grayfail_fingerprint(
+    stormy, storm_result = _grayfail_fingerprint(
         SamhitaConfig.grayfail(faults=storm))
-    unhedged, _ = _grayfail_fingerprint(
-        SamhitaConfig.grayfail(faults=storm, hedged_fetches=False))
     return {
-        "campaign": ("jacobi 64x256x6 functional cell, grayfail deployment, "
-                     "slow_server(seed=11, node1, factor=10)"),
+        "campaign": ("jacobi 128x512x6 functional cell, 8 threads, grayfail "
+                     "deployment, slow_server(seed=11, node1, factor=10)"),
         "off_fingerprint": off_fp,
         "pr9_fingerprint": PR9_FINGERPRINT,
         "off_identical_to_pr9": off_fp == PR9_FINGERPRINT,
-        "data_identical": (
-            hedged["grid_sha256"] == clean["grid_sha256"]
-            and hedged["gdiff"] == clean["gdiff"]
-            and unhedged["grid_sha256"] == clean["grid_sha256"]),
+        "data_identical": (stormy["grid_sha256"] == clean["grid_sha256"]
+                           and stormy["gdiff"] == clean["gdiff"]),
         "elapsed_clean": clean["elapsed"],
-        "elapsed_hedged_storm": hedged["elapsed"],
-        "elapsed_unhedged_storm": unhedged["elapsed"],
-        "hedged_slowdown": (round(hedged["elapsed"] / clean["elapsed"], 3)
-                            if clean["elapsed"] else None),
-        "unhedged_slowdown": (round(unhedged["elapsed"] / clean["elapsed"], 3)
-                              if clean["elapsed"] else None),
-        "counters": hedged_result.stats.get("hedges", {}),
+        "elapsed_storm": stormy["elapsed"],
+        "storm_slowdown": (round(stormy["elapsed"] / clean["elapsed"], 3)
+                           if clean["elapsed"] else None),
+        "counters": storm_result.stats.get("hedges", {}),
     }
 
 
@@ -795,7 +729,7 @@ def main(argv=None) -> int:
     replication_off = replication_off_fingerprint()
     replication = replication_overhead()
 
-    print("prefetch comparison (compat vs adaptive data plane) ...")
+    print("prefetch campaign (stride prefetcher) ...")
     prefetch = prefetch_comparison()
 
     print("shard scaling sweep (16 -> 64 -> 256 compute servers) ...")
@@ -804,7 +738,7 @@ def main(argv=None) -> int:
     print("partition-safety fingerprint (fencing, quorum, checkpoint) ...")
     partition_safety = partition_safety_fingerprint()
 
-    print("batched round-trip comparison (off-pin + trip reduction) ...")
+    print("batched round-trip request totals ...")
     batched_rt = batched_rt_comparison()
 
     print("gray-failure comparison (off-pin + slow-server storm) ...")
@@ -813,13 +747,14 @@ def main(argv=None) -> int:
     print("sustained events/sec at the 256-server sweep point ...")
     rate = sweep_events_rate(best_of_n=max(args.best_of, 3))
 
-    print(f"after_adaptive_cache: best of {args.best_of} ...")
-    from repro.core.params import SamhitaConfig
+    print(f"after_stride_prefetch: best of {args.best_of} ...")
+    from repro.core.params import PrefetchPolicy, SamhitaConfig
 
-    def run_adaptive():
-        return run_smoke(config=SamhitaConfig.adaptive_cache())
+    def run_stride():
+        return run_smoke(
+            config=SamhitaConfig(prefetch=PrefetchPolicy(mode="stride")))
 
-    adaptive_best, adaptive_runs = best_of(args.best_of, run_adaptive)
+    stride_best, stride_runs = best_of(args.best_of, run_stride)
 
     print(f"after_workers{workers}_cold: best of {args.best_of} ...")
 
@@ -868,13 +803,12 @@ def main(argv=None) -> int:
                 "speedup_vs_seed": round(seed / serial_best, 2),
                 "engine": engine_variant(),
             },
-            "after_adaptive_cache": {
-                "wall_s": round(adaptive_best, 3),
-                "runs": [round(r, 3) for r in adaptive_runs],
-                "speedup_vs_seed": round(seed / adaptive_best, 2),
+            "after_stride_prefetch": {
+                "wall_s": round(stride_best, 3),
+                "runs": [round(r, 3) for r in stride_runs],
+                "speedup_vs_seed": round(seed / stride_best, 2),
                 "engine": engine_variant(),
-                "config": "SamhitaConfig.adaptive_cache()",
-                "fetch_reduction": prefetch["fetch_reduction"],
+                "config": 'SamhitaConfig(prefetch=PrefetchPolicy(mode="stride"))',
                 "prefetch_accuracy": prefetch["prefetch_accuracy"],
             },
             f"after_workers{workers}_cold": {
@@ -921,9 +855,9 @@ def main(argv=None) -> int:
     print(f"  seed baseline        {seed:7.3f} s")
     print(f"  after_serial         {serial_best:7.3f} s  "
           f"({seed / serial_best:.2f}x vs seed)")
-    print(f"  after_adaptive_cache {adaptive_best:7.3f} s  "
-          f"({seed / adaptive_best:.2f}x vs seed; "
-          f"fetches -{prefetch['fetch_reduction'] * 100:.0f}%, "
+    print(f"  after_stride_prefetch {stride_best:6.3f} s  "
+          f"({seed / stride_best:.2f}x vs seed; "
+          f"fetches {prefetch['stride']['fetch_requests']:,}, "
           f"accuracy {prefetch['prefetch_accuracy'] * 100:.0f}%)")
     print(f"  workers{workers} cold        {cold:7.3f} s  "
           f"({seed / cold:.2f}x vs seed)")
@@ -957,18 +891,12 @@ def main(argv=None) -> int:
           f"({rate['events_scheduled']:,} events in "
           f"{rate['run_wall_s']:.3f} s run phase, "
           f"{rate['engine']} engine)")
-    print(f"  batched round trips  "
-          f"{'off==PR8' if batched_rt['off_identical_to_pr8'] else 'off DIVERGED'}"
-          f"  requests {batched_rt['off_requests']['total']:,} -> "
-          f"{batched_rt['on_requests']['total']:,} "
-          f"(-{batched_rt['trip_reduction']:.1f}x)  data_identical="
-          f"{batched_rt['data_identical_on_off']}")
+    print(f"  batched round trips  requests "
+          f"{batched_rt['requests']['total']:,} (fig12 smoke)")
     gf = grayfail
     print(f"  gray failure         "
           f"{'off==PR9' if gf['off_identical_to_pr9'] else 'off DIVERGED'}"
-          f"  storm slowdown {gf['hedged_slowdown']:.2f}x hedged "
-          f"(unhedged {gf['unhedged_slowdown']:.2f}x)  "
-          f"hedges_won={gf['counters'].get('hedges_won', 0)} "
+          f"  storm slowdown {gf['storm_slowdown']:.2f}x  "
           f"breaker_opens={gf['counters'].get('breaker_opens', 0)} "
           f"sheds={gf['counters'].get('sheds', 0)}  data_identical="
           f"{gf['data_identical']}")

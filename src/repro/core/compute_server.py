@@ -5,22 +5,22 @@ This class implements the fault path of §II: on a miss the thread requests
 the whole multi-page cache line from its home; if the cache is full, victims
 are chosen by the dirty-biased policy and written back before the install.
 
-The prefetch side is policy-driven (``SamhitaConfig.prefetch_policy``):
+There is one fetch path: a faulted span's missing lines and the prefetch
+policy's predictions travel as ONE round trip per home server
+(:func:`repro.core.rtbatch.fault_lines_batched`). The policy
+(``SamhitaConfig.prefetch``) decides what rides along:
 
-* ``adjacent`` -- the paper's anticipatory paging: every demand miss fires
-  an asynchronous request for the adjacent line (the compatibility
-  default, event-for-event identical to the seed);
+* ``adjacent`` -- the paper's anticipatory paging: every demand miss also
+  brings the adjacent line (the default);
 * ``stride`` -- a per-thread reference-prediction table
   (:class:`~repro.core.prefetcher.StridePrefetcher`) detects forward and
-  backward strides in the miss stream and fetches ``degree`` lines ahead
-  as one batched request, throttling back to adjacent-line behaviour when
-  measured accuracy drops;
+  backward strides in the miss stream and fetches ``degree`` lines ahead,
+  throttling back to adjacent-line behaviour when measured accuracy drops;
 * ``none`` -- demand paging only.
 
-With ``config.batch_line_fetches`` a span that misses k lines is fetched in
-ONE protocol round-trip per home server instead of k sequential transfers,
-and the batched plan executor feeds upcoming-operation spans in as
-plan-informed prefetch (see ``SamhitaBackend.run_plan``).
+Two synchronous per-request paths remain beside it, both for progress: the
+pinned fetch a starving reader escalates to, and the per-page fetch an open
+circuit breaker degrades to.
 """
 
 from __future__ import annotations
@@ -40,10 +40,6 @@ from repro.sim.stats import StatSet
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.system import SamhitaSystem
-
-#: Upper bound on lines queued by one plan-informed prefetch: keeps a long
-#: plan from flooding the cache with speculative installs.
-PLAN_PREFETCH_MAX_LINES = 16
 
 
 class _CachedLock:
@@ -73,8 +69,6 @@ class ComputeServer:
         self.component = component
         self.system = system
         self.threads: list[int] = []
-        #: In-flight line fetches per thread: {tid: {line: SimEvent}}.
-        self.pending: dict[int, dict[int, object]] = {}
         #: Cached lock-ownership grants: {lock_id: _CachedLock}. Only ever
         #: populated with ``config.lock_owner_cache``.
         self.lock_cache: dict[int, _CachedLock] = {}
@@ -83,19 +77,12 @@ class ComputeServer:
         #: stamped on write-side RPCs, refreshed when a receiver fences a
         #: stale stamp after a failover this component missed.
         self.known_epoch = 0
-        config = system.config
-        self.prefetch_policy = config.prefetch_policy
-        self.batch_fetches = config.batch_line_fetches
-        #: Batched round-trip protocol model (repro.core.rtbatch): the
-        #: fault, prefetch and eviction paths below dispatch to the
-        #: per-home batched forms when set.
-        self.batched_rt = config.batched_round_trips
+        self.prefetch_policy = system.config.prefetch
         self.prefetcher = (StridePrefetcher(self.prefetch_policy, self.stats)
                            if self.prefetch_policy.mode == "stride" else None)
 
     def register_thread(self, tid: int) -> None:
         self.threads.append(tid)
-        self.pending[tid] = {}
 
     # ------------------------------------------------------------------
     # lock-ownership cache (config.lock_owner_cache)
@@ -177,8 +164,7 @@ class ComputeServer:
     # ------------------------------------------------------------------
     # fault path
     # ------------------------------------------------------------------
-    def ensure_resident(self, tid: int, addr: int, nbytes: int,
-                        speculate: bool = True):
+    def ensure_resident(self, tid: int, addr: int, nbytes: int):
         """Generator: make every page of [addr, addr+nbytes) resident.
 
         Retries when a concurrent consistency action (an IVY upgrade by
@@ -198,98 +184,14 @@ class ComputeServer:
             if not cache.missing_pages(addr, nbytes):
                 return
             if attempt < 8:
-                if self.batched_rt:
-                    yield from rtbatch.fault_lines_batched(
-                        self, tid, cache.missing_lines(addr, nbytes),
-                        protect, speculate)
-                elif self.batch_fetches:
-                    yield from self._fault_lines(
-                        tid, cache.missing_lines(addr, nbytes), protect,
-                        speculate)
-                else:
-                    for line in cache.missing_lines(addr, nbytes):
-                        yield from self._fault_line(tid, line, protect)
+                yield from rtbatch.fault_lines_batched(
+                    self, tid, cache.missing_lines(addr, nbytes), protect)
             else:
                 missing = self._allocated_only(
                     cache.missing_pages(addr, nbytes))
                 yield from self._fetch_pages_pinned(tid, missing, protect)
         raise MemoryError_(
             f"thread {tid} starved faulting [{addr:#x}, +{nbytes})")
-
-    def _fault_line(self, tid: int, line: int, protect: set[int]):
-        """Generator: demand-fetch one cache line (§II fault path)."""
-        cache = self.system.cache_of(tid)
-        config = self.system.config
-        pending = self.pending[tid]
-
-        in_flight = pending.get(line)
-        if in_flight is not None:
-            # A prefetch is already bringing this line in.
-            self.stats.counters["prefetch_waits"] += 1
-            yield in_flight
-
-        entries = cache.entries
-        missing = [p for p in cache.layout.line_pages(line) if p not in entries]
-        missing = self._allocated_only(missing)
-        if missing:
-            self.stats.counters["faults"] += 1
-            # try_advance applies the same inline-advance rule _step would;
-            # when it succeeds the whole yield-from chain stays un-suspended.
-            if not self.engine.try_advance(config.fault_handler_time):
-                yield Timeout(config.fault_handler_time)
-            yield from self._fetch_pages(tid, missing, protect,
-                                         prefetched=False)
-
-        self._after_demand_miss(tid, (line,))
-
-    def _fault_lines(self, tid: int, lines, protect: set[int],
-                     speculate: bool = True):
-        """Generator: demand-fetch several missing lines at once.
-
-        The adaptive-mode fault path: one fault-handler charge and one
-        protocol round-trip per home server for the whole batch, instead
-        of the per-line sequence the compatibility mode keeps.
-        ``speculate=False`` (plan-executor misses) trains the predictor
-        but issues no speculative prefetch -- the plan's own look-ahead is
-        authoritative about what comes next, so guessing alongside it only
-        wastes installs.
-        """
-        cache = self.system.cache_of(tid)
-        config = self.system.config
-        pending = self.pending[tid]
-        counters = self.stats.counters
-        allocated_only = self._allocated_only
-        line_pages = cache.layout.line_pages
-        demand: list[int] = []
-        missed_lines: list[int] = []
-        for line in lines:
-            in_flight = pending.get(line)
-            if in_flight is not None:
-                counters["prefetch_waits"] += 1
-                yield in_flight
-            entries = cache.entries
-            missing = [p for p in line_pages(line) if p not in entries]
-            missing = allocated_only(missing)
-            if missing:
-                counters["faults"] += 1
-                demand.extend(missing)
-                missed_lines.append(line)
-        if missed_lines:
-            # Predict BEFORE fetching: the speculative request then overlaps
-            # the demand round-trip below instead of starting after it, so
-            # mid-stream predictions are installed by the time the thread
-            # scans forward to them (issuing after the fetch, the daemon
-            # only ever won the race at stall points -- block boundaries --
-            # exactly where predictions overshoot).
-            self._after_demand_miss(tid, missed_lines, issue=speculate,
-                                    exclude=frozenset(missed_lines))
-        if demand:
-            counters["batched_line_fetches"] += 1
-            counters["batched_lines"] += len(missed_lines)
-            if not self.engine.try_advance(config.fault_handler_time):
-                yield Timeout(config.fault_handler_time)
-            yield from self._fetch_pages(tid, demand, protect,
-                                         prefetched=False)
 
     def _allocated_only(self, pages: list[int]) -> list[int]:
         """Drop pages outside any allocation (line tails past a region).
@@ -505,195 +407,25 @@ class ComputeServer:
             counters["pages_fetched"] += len(server_pages)
 
     # ------------------------------------------------------------------
-    # prefetch (anticipatory paging, §II; stride prediction)
-    # ------------------------------------------------------------------
-    def _after_demand_miss(self, tid: int, lines, issue: bool = True,
-                           exclude: frozenset = frozenset()) -> None:
-        """Issue the policy's prefetch for a run of demand-missed lines.
-
-        ``issue=False`` only trains the stride predictor (plan-executor
-        misses: the plan look-ahead already covers what comes next);
-        ``exclude`` lists lines a concurrent demand fetch already covers.
-        """
-        mode = self.prefetch_policy.mode
-        # A batch already fetching more lines than the prefetch degree has
-        # outrun anything the predictor could add: the only lines a
-        # prediction would reach past such a batch are the ones BEYOND the
-        # faulted span -- measured on the Jacobi campaigns, those are the
-        # installs that cross into other threads' partitions and get
-        # invalidated untouched. Train on the batch, predict nothing.
-        issue = issue and len(lines) <= self.prefetch_policy.degree
-        if mode == "adjacent":
-            if issue:
-                for line in lines:
-                    self._maybe_prefetch(tid, (line + 1,), exclude)
-        elif mode == "stride":
-            cache = self.system.cache_of(tid)
-            cache_counters = cache.stats.counters
-            pages_per_line = cache.layout.pages_per_line
-            allocated_span = self.system.allocator.allocated_span
-            prefetcher = self.prefetcher
-            targets: tuple[int, ...] = ()
-            for line in lines:
-                # Streams are keyed by allocation so a kernel alternating
-                # between arrays (src/dst sweeps) trains one clean stride
-                # per array. Feed the whole run; the last observation's
-                # prediction is the freshest, so only it is issued.
-                span = allocated_span(line * pages_per_line)
-                targets = prefetcher.observe(
-                    tid, line, cache_counters,
-                    stream_key=span[0] if span else None)
-            if issue and targets:
-                self._maybe_prefetch(tid, targets, exclude)
-
-    def _maybe_prefetch(self, tid: int, lines,
-                        exclude: frozenset = frozenset()) -> None:
-        """Queue an asynchronous fetch of the given lines' missing pages.
-
-        All lines ride ONE daemon process and one request per home server;
-        each line is registered in ``pending`` so a demand fault can wait
-        on the in-flight data instead of re-requesting it.
-        """
-        cache = self.system.cache_of(tid)
-        pending = self.pending[tid]
-        entries = cache.entries
-        targets: list[int] = []
-        pages: list[int] = []
-        for line in lines:
-            if line in pending or line in exclude:
-                continue
-            missing = [p for p in cache.layout.line_pages(line)
-                       if p not in entries]
-            missing = self._allocated_only(missing)
-            if missing:
-                targets.append(line)
-                pages.extend(missing)
-        if targets:
-            self._issue_prefetch(tid, targets, pages)
-
-    def _issue_prefetch(self, tid: int, targets: list[int],
-                        pages: list[int]) -> None:
-        """Spawn the daemon fetching ``pages``, registered under ``targets``
-        (the lines a demand fault may wait on)."""
-        # Static names: tens of thousands of prefetches are issued per run
-        # and the per-prefetch f-strings were pure debug-label overhead (the
-        # pending dict, not the name, identifies the line).
-        gate = self.engine.event("prefetch")
-        pending = self.pending[tid]
-        for line in targets:
-            pending[line] = gate
-        self.engine.process(self._prefetch_lines(tid, targets, pages, gate),
-                            name="prefetch", daemon=True)
-        counters = self.stats.counters
-        counters["prefetches_issued"] += 1
-        counters["prefetch_lines_requested"] += len(targets)
-
-    def prefetch_spans(self, tid: int, spans) -> None:
-        """Plan-informed prefetch: fetch the missing pages of upcoming plan
-        operations ahead of their demand faults (one batched request per
-        home server).
-
-        Unlike the speculative paths this is page-PRECISE: the plan says
-        exactly which pages it will touch, so fetching their whole cache
-        lines would only install line-tail pages (other threads' data)
-        that sit untouched until invalidated. Speculative installs never
-        evict -- a full cache skips them -- so over-aggressive plans
-        degrade to demand paging.
-        """
-        cache = self.system.cache_of(tid)
-        budget = min(PLAN_PREFETCH_MAX_LINES * cache.layout.pages_per_line,
-                     cache.free_pages)
-        if budget <= 0:
-            return
-        pending = self.pending[tid]
-        entries = cache.entries
-        pages_spanning = cache.layout.pages_spanning
-        line_of = cache.layout.line_of_page
-        pages: list[int] = []
-        targets: list[int] = []
-        seen: set[int] = set()
-        for addr, nbytes in spans:
-            for page in pages_spanning(addr, nbytes):
-                if page in seen or page in entries:
-                    continue
-                seen.add(page)
-                line = line_of(page)
-                if line in pending:
-                    continue  # already in flight
-                if line not in targets:
-                    targets.append(line)
-                pages.append(page)
-                if len(pages) >= budget:
-                    break
-            if len(pages) >= budget:
-                break
-        pages = self._allocated_only(pages)
-        if pages:
-            self.stats.counters["plan_prefetches"] += 1
-            self._issue_prefetch(tid, targets, pages)
-
-    def _prefetch_lines(self, tid: int, lines: list[int], pages: list[int],
-                        gate):
-        try:
-            entries = self.system.cache_of(tid).entries
-            still_missing = [p for p in pages if p not in entries]
-            if still_missing:
-                if self.batched_rt:
-                    # Pure speculative trip(s): one per home server.
-                    yield from rtbatch.fetch_batched(self, tid, [],
-                                                     still_missing, set())
-                else:
-                    yield from self._fetch_pages(tid, still_missing, set(),
-                                                 prefetched=True)
-        finally:
-            pending = self.pending[tid]
-            for line in lines:
-                del pending[line]
-            gate.succeed()
-
-    # ------------------------------------------------------------------
     # eviction (dirty-biased write-back, §II)
     # ------------------------------------------------------------------
     def _evict(self, tid: int, count: int, protect: set[int]):
-        """Generator: evict ``count`` pages, writing dirty victims back."""
-        if self.batched_rt:
-            yield from rtbatch.evict_batched(self, tid, count, protect)
-            return
+        """Generator: evict ``count`` pages; dirty victims' diffs ship as
+        one merge trip per home server."""
+        directory = self.system.directory
         cache = self.system.cache_of(tid)
         victims = cache.choose_victims(count, protect=protect)
+        diffs = []
         for page in victims:
             diff = cache.evict(page)
             if diff is not None and not diff.empty:
-                yield from self.flush_diff(tid, diff)
+                diffs.append(diff)
             # Only the page's *owner* surrenders ownership on eviction;
             # evicting a clean bystander copy must not erase the record of
             # someone else's lazily-held dirty data.
-            if self.system.directory.owner_of(page) == tid:
-                self.system.directory.clear_owner(page)
-            self.system.directory.remove_sharer(page, tid)
+            if directory.owner_of(page) == tid:
+                directory.clear_owner(page)
+            directory.remove_sharer(page, tid)
+        if diffs:
+            yield from rtbatch.flush_diffs_batched(self, diffs)
         self.stats.counters["evictions"] += len(victims)
-
-    def flush_diff(self, tid: int, diff):
-        """Generator: write one page diff back to its (live) home server,
-        retrying through a failover (and through a fencing reject: the
-        first write after a missed failover refreshes this sender's epoch
-        and re-ships)."""
-        config = self.system.config
-        fencing = self.system.membership is not None
-        backoffs = 0
-        while True:
-            server = self.system.server_of_page(diff.page)
-            try:
-                # Diff-scan cost rides the put's suspension (fused lead leg).
-                t = self.system.scl.rdma_put(self.component, server.component,
-                                             diff.wire_bytes, category="diff",
-                                             lead=config.diff_scan_time)
-                if t is not None:
-                    yield from t
-                yield from server.apply_diffs(
-                    [diff], epoch=self.known_epoch if fencing else None)
-            except CommunicationError as err:
-                backoffs = yield from rtbatch.recover(self, server, err,
-                                                      backoffs)
-                continue
-            break

@@ -117,7 +117,7 @@ class MemoryServer:
         Admission control (``config.admission_queue_limit``): a fetch
         arriving while the queue already holds ``limit`` waiters is NACKed
         instead of queued, bounding the head-of-line damage one slow server
-        can do. Applies to demand/bulk/hedged fetches only -- escalated
+        can do. Applies to demand and bulk fetches only -- escalated
         pinned fetches and write-side applies are never shed, so forward
         progress and the consistency protocol cannot starve.
         """
@@ -191,9 +191,9 @@ class MemoryServer:
             self.resource.release()
 
     def serve_fetch_bulk(self, requester_tid: int, pages: list[int]):
-        """Generator: batched fetch serve (``config.batched_round_trips``).
+        """Generator: batched fetch serve, the data plane's request shape.
 
-        The round-trip twin of :meth:`serve_fetch`: one dedup admission and
+        The round-trip form of :meth:`serve_fetch`: one dedup admission and
         ONE service charge for the whole request (alpha is paid once per
         trip, not per line), owner recalls grouped into one bulk recall
         round trip per owner. The resource is held for the whole request,
@@ -244,79 +244,6 @@ class MemoryServer:
                 # the read counters matter, paid in bulk. The returned
                 # mapping stays empty -- timing-mode callers only ``.get``
                 # per-page data, which is None either way.
-                self.directory.add_sharers(pages, requester_tid)
-                backing.serve_pages_timing(pages)
-            self.last_serve_crcs = crcs
-            return result
-        finally:
-            self.resource.release()
-
-    def serve_fetch_hedged(self, requester_tid: int, pages: list[int],
-                           primary: "MemoryServer"):
-        """Generator: bulk fetch served by a BACKUP on behalf of a slow
-        primary (``config.hedged_fetches``).
-
-        The hedger only targets owner-free pages, so no recall is needed;
-        staleness is closed with the :meth:`serve_repair` invariant run in
-        the other direction: this backup's copy lags ``primary`` by exactly
-        the WAL entries it has not acked, so replaying the primary's
-        durable unshipped tail for the requested pages (idempotent
-        byte-range patches -- a later regular ship re-applying them is
-        harmless) reproduces the primary's current bytes without touching
-        the primary's service queue. If an owner appeared between the
-        hedge decision and this serve, the hedge declines (retryable shed)
-        and the primary's in-flight serve stands alone.
-        """
-        self._admission_check("hedge_fetch")
-        self._admit(requester_tid)
-        yield from self.resource.request_service(self._service_time())
-        try:
-            owner_of = self.directory.owner_of
-            for page in pages:
-                owner = owner_of(page)
-                if owner is not None and owner != requester_tid:
-                    self.stats.counters["hedge_declines"] += 1
-                    raise OverloadShedError(
-                        self.component, self.component, "hedge_fetch",
-                        0, 0, self.engine.now)
-            counters = self.stats.counters
-            counters["hedge_serves"] += 1
-            counters["pages_served"] += len(pages)
-            backing = self.backing
-            wal = primary.wal
-            if wal is not None:
-                replayed = 0
-                for page in pages:
-                    for entry in wal.unshipped_for_page(page, self.index):
-                        backing.apply_diff(entry.diff)
-                        replayed += entry.diff.payload_bytes
-                if replayed:
-                    counters["hedge_catchup_bytes"] += replayed
-                    delay = self.config.apply_time_per_byte * replayed
-                    if not self.engine.try_advance(delay):
-                        yield Timeout(delay)
-            add_sharer = self.directory.add_sharer
-            functional = backing.functional
-            integrity = backing.integrity
-            crcs: dict[int, int] | None = {} if integrity else None
-            result = {}
-            if functional or integrity:
-                read_page = backing.read_page
-                frames = backing.frames
-                backing_counters = backing.stats.counters
-                for page in pages:
-                    add_sharer(page, requester_tid)
-                    if integrity:
-                        crcs[page] = backing.page_crc(page)
-                    if functional:
-                        result[page] = read_page(page)
-                    else:
-                        backing_counters["page_reads"] += 1
-                        if page not in frames:
-                            frames[page] = PageFrame(None)
-                            backing_counters["frames_created"] += 1
-                        result[page] = None
-            else:
                 self.directory.add_sharers(pages, requester_tid)
                 backing.serve_pages_timing(pages)
             self.last_serve_crcs = crcs
@@ -413,7 +340,7 @@ class MemoryServer:
         self.stats.incr("recall_bytes", diff.payload_bytes)
 
     # ------------------------------------------------------------------
-    # bulk recall (config.batched_round_trips)
+    # bulk recall
     # ------------------------------------------------------------------
     def _recall_bulk(self, owner_tid: int, pages: list[int]):
         """Pull ALL pages one owner holds as ONE modeled round trip: a

@@ -3,7 +3,9 @@
 Everything the paper describes as a design choice (cache line size,
 prefetching, eviction bias, multiple-writer protocol, fine-grain consistency
 region updates, allocator thresholds) is a field here, so the ablation
-benches can toggle each one independently.
+benches can toggle each one independently. The data plane itself has one
+shape: every fault, prefetch, recall and eviction write-back travels as a
+batched round trip per home server (:mod:`repro.core.rtbatch`).
 
 Time constants model user-level software costs of the original
 implementation (signal-handler page faults, twin copies, diff scans); they
@@ -27,14 +29,13 @@ class PrefetchPolicy:
     ``mode`` selects the predictor:
 
     * ``"adjacent"`` -- the paper's anticipatory paging: every demand miss
-      fires one asynchronous fetch of the next cache line (§II). This is
-      the compatibility default and the behaviour the stride predictor
-      demotes to when its predictions miss.
+      also fetches the next cache line (§II), riding the demand round trip
+      as speculative cargo. This is the default and the behaviour the
+      stride predictor demotes to when its predictions miss.
     * ``"stride"`` -- a per-thread reference-prediction table over the
       demand-miss line stream: constant forward/backward strides (and
       sequential runs, stride +1) are detected after ``min_confidence``
-      repeats, and ``degree`` lines ahead are fetched as ONE batched
-      request per home server.
+      repeats, and ``degree`` lines ahead ride the demand round trip.
     * ``"none"`` -- demand paging only (the ablation).
 
     The throttle keeps the stride predictor honest: every
@@ -83,32 +84,9 @@ class SamhitaConfig:
     #: ablation shrinks this).
     cache_capacity_pages: int = 1 << 18
     eviction_policy: EvictionPolicy = EvictionPolicy.DIRTY_BIASED
-    #: Victim-selection implementation: ``"heap"`` (lazy min-heap, O(log n)
-    #: per victim) or ``"sorted"`` (the seed's full sort per eviction
-    #: batch). Both produce the identical victim sequence -- the heap keys
-    #: are the exact sort keys and they are unique -- so this is a pure
-    #: complexity knob, kept switchable for the equivalence gate.
-    eviction_impl: str = "heap"
-    #: Fetch the adjacent cache line asynchronously on every miss (§II).
-    #: Legacy switch, equivalent to ``prefetch=PrefetchPolicy(mode=...)``
-    #: with "adjacent"/"none"; ignored when ``prefetch`` is given.
-    prefetch_adjacent: bool = True
-    #: Full prefetch policy; ``None`` derives it from ``prefetch_adjacent``.
-    prefetch: PrefetchPolicy | None = None
-    #: Fetch all missing lines of a faulted span (and of a batched access
-    #: plan's upcoming operations) in ONE protocol round-trip per home
-    #: server instead of one per line. Off by default: merging transfers
-    #: changes simulated timing, so the compatibility mode keeps the
-    #: per-line shape the goldens pin.
-    batch_line_fetches: bool = False
-    #: Batched round-trip protocol model (:mod:`repro.core.rtbatch`): all
-    #: demand misses, speculative prefetches, owner recalls and diff merges
-    #: bound for the SAME home server within a round aggregate into one
-    #: modeled round trip (single request message + single service charge +
-    #: single bulk data return, cost = alpha + beta * lines). On by default;
-    #: False restores the per-line/per-page protocol shape bit-identically
-    #: (CI-gated by ``--check-batched-rt``).
-    batched_round_trips: bool = True
+    #: Prefetch policy: the paper's adjacent-line anticipatory paging by
+    #: default, ``PrefetchPolicy(mode="none")`` for demand paging only.
+    prefetch: PrefetchPolicy = field(default_factory=PrefetchPolicy)
 
     # -- consistency ----------------------------------------------------
     #: Memory coherence protocol: "regc" (the paper's Regional Consistency)
@@ -224,20 +202,11 @@ class SamhitaConfig:
     #: ``RetryPolicy.timeout``. Off (the default) keeps the static law
     #: bit-identical (CI-gated by ``--check-grayfail-off``).
     adaptive_timeouts: bool = False
-    #: Hedged batched fetches: when a bulk round trip's reply is late past
-    #: the ``hedge_quantile`` estimate of that home's observed trip times
-    #: and a live replica exists (``replication_factor >= 2``), issue ONE
-    #: hedge of the owner-free pages to the first backup; first reply wins
-    #: and the loser's reply is deduped. Requires batched_round_trips.
-    hedged_fetches: bool = False
-    #: Lateness quantile the hedger fires at (empirical, over a sliding
-    #: window of observed per-home trip times).
-    hedge_quantile: float = 0.95
     #: Per-destination retry budget (token-bucket capacity) feeding the
     #: circuit breaker; 0 (the default) disables budgets and breakers.
     #: Sheds and exhausted transfers spend a token, successes refill
     #: ``retry_budget_refill``; a dry bucket opens the breaker and fetches
-    #: route to a replica or degrade to the synchronous unbatched path.
+    #: to that destination degrade to the synchronous per-page path.
     retry_budget: int = 0
     retry_budget_refill: float = 0.5
     #: Open-breaker cool-down (simulated seconds) before one half-open
@@ -280,11 +249,8 @@ class SamhitaConfig:
             raise ReproError(f"unknown coherence protocol {self.coherence!r}")
         if self.cache_capacity_pages < self.layout.pages_per_line:
             raise ReproError("cache must hold at least one cache line")
-        if self.eviction_impl not in ("heap", "sorted"):
-            raise ReproError(f"unknown eviction_impl {self.eviction_impl!r}")
-        if self.prefetch is not None and not isinstance(self.prefetch,
-                                                        PrefetchPolicy):
-            raise ReproError("prefetch must be a PrefetchPolicy or None")
+        if not isinstance(self.prefetch, PrefetchPolicy):
+            raise ReproError("prefetch must be a PrefetchPolicy")
         if not (0 < self.arena_max_alloc <= self.arena_chunk_bytes):
             raise ReproError("require 0 < arena_max_alloc <= arena_chunk_bytes")
         if self.stripe_threshold <= self.arena_max_alloc:
@@ -310,10 +276,6 @@ class SamhitaConfig:
             raise ReproError("faults must be a FaultPlan or None")
         if self.lock_lease_time < 0.0:
             raise ReproError("lock_lease_time must be >= 0")
-        if not 0.0 < self.hedge_quantile <= 1.0:
-            raise ReproError("hedge_quantile must be in (0, 1]")
-        if self.hedged_fetches and not self.batched_round_trips:
-            raise ReproError("hedged_fetches requires batched_round_trips")
         if self.retry_budget < 0:
             raise ReproError("retry_budget must be >= 0")
         if self.retry_budget_refill < 0.0:
@@ -322,25 +284,6 @@ class SamhitaConfig:
             raise ReproError("breaker_cooldown must be positive")
         if self.admission_queue_limit < 0:
             raise ReproError("admission_queue_limit must be >= 0")
-
-    @property
-    def prefetch_policy(self) -> PrefetchPolicy:
-        """The effective prefetch policy (resolves the legacy switch)."""
-        if self.prefetch is not None:
-            return self.prefetch
-        return PrefetchPolicy(
-            mode="adjacent" if self.prefetch_adjacent else "none")
-
-    @classmethod
-    def adaptive_cache(cls, **overrides) -> "SamhitaConfig":
-        """The adaptive data plane: stride prefetching plus batched line
-        fetches (heap eviction is already the default). Keyword overrides
-        apply on top, e.g. ``SamhitaConfig.adaptive_cache(coherence="ivy")``.
-        """
-        base: dict = {"prefetch": PrefetchPolicy(mode="stride"),
-                      "batch_line_fetches": True}
-        base.update(overrides)
-        return cls(**base)
 
     @classmethod
     def sharded_control_plane(cls, shards: int = 4, **overrides) -> "SamhitaConfig":
@@ -356,37 +299,21 @@ class SamhitaConfig:
     @property
     def grayfail_armed(self) -> bool:
         """Is any gray-failure feature on? (Gates the ``hedges`` stats
-        namespace and the per-trip bookkeeping that feeds it.)"""
-        return (self.adaptive_timeouts or self.hedged_fetches
-                or self.retry_budget > 0 or self.admission_queue_limit > 0)
+        namespace: sheds, shed backoffs and breaker activity.)"""
+        return (self.adaptive_timeouts or self.retry_budget > 0
+                or self.admission_queue_limit > 0)
 
     @classmethod
     def grayfail(cls, **overrides) -> "SamhitaConfig":
         """The gray-failure-resilient deployment: two replicated memory
-        servers, adaptive timeouts, hedged fetches (P90 deadline -- tight
-        enough to fire against a gray primary within a short run), a
-        deliberately small retry budget (a couple of clustered sheds is
-        already a strong gray signal) and a single-slot admission queue.
-        Keyword overrides apply on top."""
+        servers, adaptive timeouts, a deliberately small retry budget (a
+        couple of clustered sheds is already a strong gray signal) and a
+        single-slot admission queue. Keyword overrides apply on top."""
         base: dict = {"n_memory_servers": 2,
                       "replication_factor": 2,
                       "adaptive_timeouts": True,
-                      "hedged_fetches": True,
-                      "hedge_quantile": 0.9,
                       "retry_budget": 2,
                       "admission_queue_limit": 1}
-        base.update(overrides)
-        return cls(**base)
-
-    @classmethod
-    def compat_cache(cls, **overrides) -> "SamhitaConfig":
-        """The seed data plane, explicitly: adjacent-line prefetch, sorted
-        eviction, per-line fetches -- the configuration whose simulated
-        metrics must stay bit-identical to the goldens."""
-        base: dict = {"prefetch": PrefetchPolicy(mode="adjacent"),
-                      "eviction_impl": "sorted",
-                      "batch_line_fetches": False,
-                      "batched_round_trips": False}
         base.update(overrides)
         return cls(**base)
 

@@ -1,9 +1,9 @@
-"""Batched protocol round trips (``config.batched_round_trips``).
+"""Batched protocol round trips: the data plane's one request shape.
 
-The per-operation protocol model charges one request message, one server
-service slot and one reply transfer per cache line (and one recall round
-trip per owned page, one diff put per evicted page). On the smoke
-campaigns that shape is ~10^5 modeled round trips, almost all of them
+A per-operation protocol model would charge one request message, one
+server service slot and one reply transfer per cache line (and one recall
+round trip per owned page, one diff put per evicted page); on the smoke
+campaigns that shape was ~10^5 modeled round trips, almost all of them
 single-line -- pure per-trip overhead, both simulated and in wall clock.
 
 This module aggregates everything bound for the SAME home server within a
@@ -16,7 +16,7 @@ serialization + one ``memserver_service_time`` charge + reply latency) and
 beta the per-line part (per-page wire serialization at the link bandwidth
 + one ``install_page_time`` per page), all under the *existing*
 interconnect parameters -- no new constants are introduced, the law is
-what the per-operation model already charges minus the repeated alphas.
+what the per-operation model charges minus the repeated alphas.
 
 Three aggregations ride the same trip structure:
 
@@ -37,20 +37,11 @@ number at the receiver, so a dropped batch retries as a batch and a
 duplicated batch is dropped whole.
 
 Gray-failure resilience rides the same trips (``config.grayfail_armed``):
-each per-home trip is raced against a hedge deadline -- the empirical
-``hedge_quantile`` of that home's recent trip times, floored at the
-timing law so a legitimately large batch is never hedged early -- and a
-late trip issues ONE backup copy of the request to a live replica
-(``MemoryServer.serve_fetch_hedged``), first reply wins, the loser's
-reply is deduplicated on arrival. Shed (NACKed) requests back off under
-the plan's retry policy while spending the destination's retry budget;
-a dry budget opens that destination's circuit breaker and subsequent
-trips route around it (replica serve, or degrade to the synchronous
-per-page path). All of it is unreachable at the defaults.
-
-Off (``batched_round_trips=False``) every path below is unreachable and
-the per-operation protocol shape is bit-identical to the previous build
-(CI-gated by ``--check-batched-rt``).
+shed (NACKed) requests back off under the plan's retry policy while
+spending the destination's retry budget; a dry budget opens that
+destination's circuit breaker, and while it is open the home's trips
+degrade to the synchronous per-page path. All of it is unreachable at the
+defaults.
 """
 
 from __future__ import annotations
@@ -59,11 +50,7 @@ from collections import Counter
 from itertools import chain
 from typing import TYPE_CHECKING
 
-from repro.errors import (
-    CommunicationError,
-    ReproError,
-    recovery_action,
-)
+from repro.errors import CommunicationError, recovery_action
 from repro.faults.plan import RetryPolicy
 from repro.interconnect.scl import CONTROL_BYTES
 from repro.memory.backing import payload_crc_ok
@@ -71,12 +58,6 @@ from repro.sim.engine import Timeout
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.compute_server import ComputeServer
-
-#: Trip-time samples a home must accumulate before hedging arms against
-#: it -- an empirical quantile over fewer observations is noise. Low on
-#: purpose: the quantile is floored at the timing law, so a thin window
-#: can fire a premature hedge (wasted work) but never a wrong one.
-HEDGE_MIN_SAMPLES = 4
 
 #: Backoff schedule for shed (NACKed) requests when no fault plan is
 #: armed to supply one (admission control works under pure contention).
@@ -129,14 +110,13 @@ class RoundTripLedger:
 
 
 # ----------------------------------------------------------------------
-# gray-failure machinery: timing-law floors, hedged trips, recovery
+# gray-failure machinery: timing-law floors, recovery
 # ----------------------------------------------------------------------
 def trip_timeout_floor(system, src: str, dst: str, n_pages: int) -> float:
     """The timing law's ``alpha + beta * lines`` lower bound for one bulk
     trip of ``n_pages`` pages.
 
-    Sizes the sender's retransmit timer (and floors the hedge deadline):
-    a clean reply to a k-page request cannot arrive before request
+    Sizes the sender's retransmit timer: a clean reply to a k-page request cannot arrive before request
     latency + one service slot + the bulk data return + k installs, so a
     timer shorter than the law retransmits legitimately slow big batches
     (pinned by the satellite regression test).
@@ -163,7 +143,7 @@ def recover(cs: "ComputeServer", server, err, backoffs: int = 0):
 
     Every dispatched failure also debits the destination's circuit
     breaker (when retry budgets are armed); the breaker tripping here is
-    what routes the NEXT attempt around the gray destination.
+    what degrades the NEXT attempt to the per-page path.
     """
     system = cs.system
     action = recovery_action(err)
@@ -192,199 +172,18 @@ def recover(cs: "ComputeServer", server, err, backoffs: int = 0):
     return backoffs
 
 
-class _Race:
-    """First-reply-wins coordination between a primary trip, its hedge
-    deadline timer, and the hedge itself.
-
-    Competitors run as daemon processes that append their tag to
-    ``arrivals`` (and their outcome to ``results``/``errors``) and wake
-    the single waiter. Nothing cancels mid-protocol: the loser keeps
-    running to completion -- exactly like a real requester that cannot
-    recall a request already on the wire -- and its reply is counted as
-    deduplicated when it lands after the race was decided.
-    """
-
-    __slots__ = ("engine", "counters", "arrivals", "results", "errors",
-                 "decided", "_taken", "_gate")
-
-    def __init__(self, engine, counters):
-        self.engine = engine
-        self.counters = counters
-        self.arrivals: list[str] = []
-        self.results: dict = {}
-        self.errors: dict = {}
-        self.decided = False
-        self._taken = 0
-        self._gate = None
-
-    def _arrive(self, tag: str) -> None:
-        self.arrivals.append(tag)
-        if self.decided and tag != "timeout":
-            self.counters["hedge_replies_deduped"] += 1
-        gate = self._gate
-        if gate is not None:
-            self._gate = None
-            gate.succeed(tag)
-
-    def runner(self, gen, tag: str):
-        """Generator (daemon process body): run one competitor to the end."""
-        try:
-            self.results[tag] = yield from gen
-        except ReproError as exc:
-            self.errors[tag] = exc
-        self._arrive(tag)
-
-    def timer(self, delay: float):
-        """Generator (daemon process body): the hedge deadline."""
-        yield Timeout(delay)
-        self._arrive("timeout")
-
-    def wait(self):
-        """Generator: the next arrival tag not yet consumed."""
-        if self._taken >= len(self.arrivals):
-            self._gate = self.engine.event("hedge.race")
-            yield self._gate
-        tag = self.arrivals[self._taken]
-        self._taken += 1
-        return tag
-
-
-def _plain_trip(cs: "ComputeServer", tid: int, server, server_pages,
-                nbytes: int, floor: float):
-    """Generator: one request/bulk-serve/reply exchange against
-    ``server``; returns ``(data, crcs)`` with the CRCs read synchronously
-    at the serve, before any other serve overwrites them."""
-    system = cs.system
-    t = system.scl.send(cs.component, server.component,
-                        category="fetch_req", timeout_floor=floor)
-    if t is not None:
-        yield from t
-    data = yield from server.serve_fetch_bulk(tid, server_pages)
-    crcs = server.last_serve_crcs
-    t = system.fabric.transfer_inline(server.component, cs.component,
-                                      nbytes, category="page")
-    if t is not None:
-        yield from t
-    return data, crcs
-
-
-def _hedge_leg(cs: "ComputeServer", tid: int, backup, primary, server_pages,
-               nbytes: int, floor: float):
-    """Generator: the backup copy of a late trip -- same wire shape as
-    the primary leg, served by :meth:`MemoryServer.serve_fetch_hedged`
-    (backup bytes + primary's unshipped-WAL replay)."""
-    system = cs.system
-    t = system.scl.send(cs.component, backup.component,
-                        category="fetch_req", timeout_floor=floor)
-    if t is not None:
-        yield from t
-    data = yield from backup.serve_fetch_hedged(tid, server_pages, primary)
-    crcs = backup.last_serve_crcs
-    t = system.fabric.transfer_inline(backup.component, cs.component,
-                                      nbytes, category="page")
-    if t is not None:
-        yield from t
-    return data, crcs
-
-
-def _hedged_trip(cs: "ComputeServer", tid: int, home: int, server,
-                 server_pages, nbytes: int, floor: float):
-    """Generator: one per-home trip under the hedging policy.
-
-    Issues the primary leg, arms a deadline at the *backup's* empirical
-    ``hedge_quantile`` trip time (floored at the timing law), and on
-    deadline expiry issues ONE hedge leg. The deadline deliberately comes
-    from the backup's window, not the primary's: a gray primary poisons
-    its own RTT history, so a self-referential quantile adapts to the
-    slowness and never fires -- whereas "the backup would typically have
-    answered by now" is exactly the signal that a hedge would pay off,
-    and a slow *backup* raises the deadline so we never hedge toward a
-    worse replica. First reply wins; returns ``(data, crcs, server)``
-    where ``server`` is whichever replica actually served (CRC repairs
-    must go against it). Raises only when every issued leg failed.
-    """
-    system = cs.system
-    engine = cs.engine
-    counters = cs.stats.counters
-    est = system.trip_rtt
-    config = system.config
-    deadline = None
-    backup = None
-    if config.hedged_fetches:
-        backup = system.hedge_backup(home, server.index, server_pages, tid)
-        if backup is None:
-            counters["hedges_ineligible"] += 1
-        elif est.samples(backup.component) < HEDGE_MIN_SAMPLES:
-            backup = None  # cold backup window: no basis for a deadline
-        else:
-            quantile = est.quantile(backup.component, config.hedge_quantile)
-            law = trip_timeout_floor(system, cs.component, server.component,
-                                     len(server_pages))
-            deadline = quantile if quantile > law else law
-    t0 = engine.now
-    if backup is None:
-        data, crcs = yield from _plain_trip(cs, tid, server, server_pages,
-                                            nbytes, floor)
-        est.observe(server.component, engine.now - t0)
-        return data, crcs, server
-
-    race = _Race(engine, counters)
-    engine.process(race.runner(
-        _plain_trip(cs, tid, server, server_pages, nbytes, floor),
-        "primary"), name="hedge.primary", daemon=True)
-    engine.process(race.timer(deadline), name="hedge.timer", daemon=True)
-    pending = {"primary"}
-    hedged = False
-    t_hedge = 0.0
-    while True:
-        tag = yield from race.wait()
-        if tag == "timeout":
-            if not hedged:
-                hedged = True
-                t_hedge = engine.now
-                pending.add("hedge")
-                counters["hedges_issued"] += 1
-                engine.process(race.runner(
-                    _hedge_leg(cs, tid, backup, server, server_pages,
-                               nbytes, floor),
-                    "hedge"), name="hedge.backup", daemon=True)
-            continue
-        pending.discard(tag)
-        if tag in race.results:
-            winner = tag
-            break
-        if not pending:
-            # Both legs failed: surface the primary's error (the hedge's
-            # is usually a decline riding on the same root cause).
-            raise race.errors.get("primary", race.errors[tag])
-    race.decided = True
-    data, crcs = race.results[winner]
-    if winner == "hedge":
-        # Credit the hedge leg's own latency to the backup's window; the
-        # race total says nothing about the primary (it never answered).
-        est.observe(backup.component, engine.now - t_hedge)
-        counters["hedges_won"] += 1
-        return data, crcs, backup
-    est.observe(server.component, engine.now - t0)
-    if hedged:
-        counters["hedges_lost"] += 1
-    return data, crcs, server
-
-
 def _home_trip(cs: "ComputeServer", tid: int, home: int, demand_pages,
                spec_pages, protect: set[int]):
     """Generator: land the bulk data for one home group, surviving gray
-    failures -- slow primaries are hedged, shed (NACKed) requests back
-    off under the retry budget, an open breaker routes around the
-    primary entirely.
+    failures -- shed (NACKed) requests back off under the retry budget,
+    and an open breaker degrades the group to the per-page path.
 
     Returns ``(data, snapshots)`` for the install leg, or None when an
-    open breaker with no eligible replica degraded the group to the
-    synchronous per-page path (which installed the demand pages itself;
-    speculative riders are dropped, per-operation accounting applies).
+    open breaker degraded the group to the synchronous per-page path
+    (which installed the demand pages itself; speculative riders are
+    dropped, per-operation accounting applies).
     """
     system = cs.system
-    engine = cs.engine
     counters = cs.stats.counters
     cache = system.cache_of(tid)
     inval_epoch = cache.inval_epoch
@@ -396,36 +195,32 @@ def _home_trip(cs: "ComputeServer", tid: int, home: int, demand_pages,
     backoffs = 0
     while True:
         server = system.memory_servers[resolve_home(home)]
+        guard = system.breaker_for(server.component)
+        if guard is not None and not guard.allow(cs.engine.now):
+            counters["breaker_degraded"] += 1
+            if demand_pages:
+                yield from cs._fetch_pages(tid, demand_pages, protect,
+                                           prefetched=False)
+            return None
         floor = (trip_timeout_floor(system, cs.component, server.component,
                                     len(server_pages)) if armed else 0.0)
-        reroute = None
-        guard = system.breaker_for(server.component)
-        if guard is not None and not guard.allow(engine.now):
-            reroute = system.hedge_backup(home, server.index, server_pages,
-                                          tid)
-            if reroute is None:
-                counters["breaker_degraded"] += 1
-                if demand_pages:
-                    yield from cs._fetch_pages(tid, demand_pages, protect,
-                                               prefetched=False)
-                return None
-            counters["breaker_reroutes"] += 1
         # No epochs recorded yet -> every snapshot would read 0; skip
         # building the dict and compare against 0 in _live instead.
         snapshots = ({p: epoch_get(p, 0) for p in server_pages}
                      if inval_epoch else None)
         counters["fetch_requests"] += 1
         try:
-            if reroute is not None:
-                data, crcs = yield from _hedge_leg(
-                    cs, tid, reroute, server, server_pages, nbytes, floor)
-                server = reroute
-            elif system.trip_rtt is not None:
-                data, crcs, server = yield from _hedged_trip(
-                    cs, tid, home, server, server_pages, nbytes, floor)
-            else:
-                data, crcs = yield from _plain_trip(
-                    cs, tid, server, server_pages, nbytes, floor)
+            t = system.scl.send(cs.component, server.component,
+                                category="fetch_req", timeout_floor=floor)
+            if t is not None:
+                yield from t
+            data = yield from server.serve_fetch_bulk(tid, server_pages)
+            # Read synchronously, before any other serve overwrites it.
+            crcs = server.last_serve_crcs
+            t = system.fabric.transfer_inline(server.component, cs.component,
+                                              nbytes, category="page")
+            if t is not None:
+                yield from t
             if crcs is not None:
                 for page in server_pages:
                     if payload_crc_ok(data.get(page), crcs.get(page)):
@@ -441,17 +236,18 @@ def _home_trip(cs: "ComputeServer", tid: int, home: int, demand_pages,
         return data, snapshots
 
 
-def predict_lines(cs: "ComputeServer", tid: int, lines, speculate: bool):
+def predict_lines(cs: "ComputeServer", tid: int, lines):
     """The policy's predictions for a run of demand-missed lines.
 
-    The collect twin of ``ComputeServer._after_demand_miss``: same
-    training (the stride predictor observes every miss regardless), same
-    issue gate (a batch wider than the prefetch degree predicts nothing),
-    but the targets are *returned* so they can ride the demand trip
-    instead of spawning a daemon.
+    The stride predictor observes every miss regardless; a batch wider
+    than the prefetch degree predicts nothing -- it has already outrun
+    anything the predictor could add, and measured on the Jacobi
+    campaigns the lines past such a batch are installs that cross into
+    other threads' partitions and get invalidated untouched. The targets
+    are returned so they can ride the demand trip.
     """
     policy = cs.prefetch_policy
-    issue = speculate and len(lines) <= policy.degree
+    issue = len(lines) <= policy.degree
     mode = policy.mode
     if mode == "adjacent":
         return tuple(line + 1 for line in lines) if issue else ()
@@ -463,6 +259,10 @@ def predict_lines(cs: "ComputeServer", tid: int, lines, speculate: bool):
         prefetcher = cs.prefetcher
         targets: tuple[int, ...] = ()
         for line in lines:
+            # Streams are keyed by allocation so a kernel alternating
+            # between arrays (src/dst sweeps) trains one clean stride per
+            # array. Feed the whole run; the last observation's prediction
+            # is the freshest, so only it is issued.
             span = allocated_span(line * pages_per_line)
             targets = prefetcher.observe(
                 tid, line, cache_counters,
@@ -474,17 +274,15 @@ def predict_lines(cs: "ComputeServer", tid: int, lines, speculate: bool):
 def speculative_pages(cs: "ComputeServer", tid: int, targets,
                       exclude: frozenset) -> list[int]:
     """Expand predicted lines to the missing pages a trip should carry
-    (skipping in-flight lines and the demand batch's own lines).
+    (skipping the demand batch's own lines).
 
     Pages another thread currently owns dirty are NOT speculated on:
     riders share the demand trip, so a guessed page would recall an
     active writer *synchronously* -- the faulting thread and the owner
-    both stall for data the guess may never touch. (The async daemon
-    path could hide that latency; a rider cannot.) Demand fetches still
+    both stall for data the guess may never touch. Demand fetches still
     recall owners, as they must.
     """
     cache = cs.system.cache_of(tid)
-    pending = cs.pending[tid]
     entries = cache.entries
     line_pages = cache.layout.line_pages
     allocated_only = cs._allocated_only
@@ -492,7 +290,7 @@ def speculative_pages(cs: "ComputeServer", tid: int, targets,
     pages: list[int] = []
     seen: set[int] = set()
     for line in targets:
-        if line in pending or line in exclude or line in seen:
+        if line in exclude or line in seen:
             continue
         seen.add(line)
         missing = [p for p in line_pages(line) if p not in entries]
@@ -504,24 +302,19 @@ def speculative_pages(cs: "ComputeServer", tid: int, targets,
 
 
 def fault_lines_batched(cs: "ComputeServer", tid: int, lines,
-                        protect: set[int], speculate: bool = True):
+                        protect: set[int]):
     """Generator: the batched fault path -- one fault-handler charge and
     one round trip per home server for the whole missed span, with the
     predictor's targets riding the same trips as speculative cargo."""
     cache = cs.system.cache_of(tid)
     config = cs.system.config
-    pending = cs.pending[tid]
     counters = cs.stats.counters
     allocated_only = cs._allocated_only
     line_pages = cache.layout.line_pages
+    entries = cache.entries
     demand: list[int] = []
     missed_lines: list[int] = []
     for line in lines:
-        in_flight = pending.get(line)
-        if in_flight is not None:
-            counters["prefetch_waits"] += 1
-            yield in_flight
-        entries = cache.entries
         missing = [p for p in line_pages(line) if p not in entries]
         missing = allocated_only(missing)
         if missing:
@@ -531,7 +324,7 @@ def fault_lines_batched(cs: "ComputeServer", tid: int, lines,
     if not missed_lines:
         return
     spec: list[int] = []
-    targets = predict_lines(cs, tid, missed_lines, speculate)
+    targets = predict_lines(cs, tid, missed_lines)
     if targets:
         spec = speculative_pages(cs, tid, targets, frozenset(missed_lines))
     counters["batched_line_fetches"] += 1
@@ -551,7 +344,7 @@ def fetch_batched(cs: "ComputeServer", tid: int, demand: list[int],
 
     Demand pages install like a demand fetch (may evict); speculative
     riders install with ``prefetched=True`` and never evict -- a full
-    cache skips them, exactly like the daemon path they replace.
+    cache skips them.
     """
     cache = cs.system.cache_of(tid)
     token = cache.begin_fetch(chain(demand, spec))
@@ -587,123 +380,80 @@ def _fetch_batched_flight(cs: "ComputeServer", tid: int, demand: list[int],
     counters = cs.stats.counters
     ledger = system.rt_ledger
     line_of = layout.line_of_page
-    # With hedging armed, a home group mixing owner-free and owned pages
-    # splits into two sub-trips: the owner-free portion (speculative
-    # riders are owner-free by construction) can be raced against a
-    # backup replica, while the owned remainder must pay its recall at
-    # the true home -- no backup can collect another thread's
-    # uncollected dirty writes. Off, every group is one trip, as before.
-    split = system.trip_rtt is not None and system.config.hedged_fetches
-    owner_of = system.directory.owner_of
     for home in sorted(grouped):
-        subtrips = [grouped[home]]
-        if split:
-            demand_pages, spec_pages = grouped[home]
-            free_d, owned_d = [], []
-            for p in demand_pages:
-                owner = owner_of(p)
-                (free_d if owner is None or owner == tid
-                 else owned_d).append(p)
-            if owned_d and (free_d or spec_pages):
-                subtrips = [(free_d, spec_pages), (owned_d, [])]
-        for demand_pages, spec_pages in subtrips:
-            server_pages = demand_pages + spec_pages
-            trip = yield from _home_trip(cs, tid, home, demand_pages,
-                                         spec_pages, protect)
-            if trip is None:
-                continue  # breaker degrade: the per-page path installed them
-            data, snapshots = trip
-            ledger.record(home, "demand" if demand_pages else "speculative",
-                          len({line_of(p) for p in server_pages}))
-            counters["pages_fetched"] += len(server_pages)
+        demand_pages, spec_pages = grouped[home]
+        server_pages = demand_pages + spec_pages
+        trip = yield from _home_trip(cs, tid, home, demand_pages,
+                                     spec_pages, protect)
+        if trip is None:
+            continue  # breaker degrade: the per-page path installed them
+        data, snapshots = trip
+        ledger.record(home, "demand" if demand_pages else "speculative",
+                      len({line_of(p) for p in server_pages}))
+        counters["pages_fetched"] += len(server_pages)
 
-            # The batched install leg: beta's per-page install cost is ONE
-            # modeled charge of k * install_page_time for the whole group
-            # (the per-operation model charged -- and suspended on -- each
-            # page separately). Installs apply in bulk after the charge;
-            # any suspension (eviction for the demand leg, the charge
-            # itself not advancing inline) re-validates against raced
-            # fills and invalidation epochs before bytes land, like the
-            # per-page re-checks it replaces. Speculative riders never
-            # evict: what the cache cannot hold is skipped, not made room
-            # for.
-            def _live(pages, snapshots=snapshots):
-                if snapshots is None and not inval_epoch:
-                    # Still no epochs anywhere: only raced fills can
-                    # disqualify.
-                    return [p for p in pages if p not in entries], 0
-                live = []
-                dropped = 0
-                for p in pages:
-                    if p in entries:
-                        continue  # raced with another fill
-                    snap = 0 if snapshots is None else snapshots[p]
-                    if epoch_get(p, 0) != snap:
-                        dropped += 1
-                    else:
-                        live.append(p)
-                return live, dropped
+        # The batched install leg: beta's per-page install cost is ONE
+        # modeled charge of k * install_page_time for the whole group.
+        # Installs apply in bulk after the charge; any suspension
+        # (eviction for the demand leg, the charge itself not advancing
+        # inline) re-validates against raced fills and invalidation
+        # epochs before bytes land. Speculative riders never evict: what
+        # the cache cannot hold is skipped, not made room for.
+        def _live(pages, snapshots=snapshots):
+            if snapshots is None and not inval_epoch:
+                # Still no epochs anywhere: only raced fills can
+                # disqualify.
+                return [p for p in pages if p not in entries], 0
+            live = []
+            dropped = 0
+            for p in pages:
+                if p in entries:
+                    continue  # raced with another fill
+                snap = 0 if snapshots is None else snapshots[p]
+                if epoch_get(p, 0) != snap:
+                    dropped += 1
+                else:
+                    live.append(p)
+            return live, dropped
 
-            stale = 0
-            eligible_d = demand_pages
-            eligible_s = spec_pages
-            charged = False
-            while True:
-                eligible_d, dropped = _live(eligible_d)
-                stale += dropped
-                eligible_s, dropped = _live(eligible_s)
-                stale += dropped
-                need = len(eligible_d) - cache.free_pages
-                if need > 0:
-                    yield from evict_batched(cs, tid, need,
-                                             protect | set(server_pages))
-                    continue
-                room = cache.free_pages - len(eligible_d)
-                if len(eligible_s) > room:
-                    keep = room if room > 0 else 0
-                    counters["prefetch_skipped_full"] += \
-                        len(eligible_s) - keep
-                    eligible_s = eligible_s[:keep]
-                k = len(eligible_d) + len(eligible_s)
-                if k and not charged:
-                    charged = True
-                    delay = k * install_time
-                    if not try_advance(delay):
-                        yield Timeout(delay)
-                        continue  # suspended: re-validate before installing
-                if eligible_d:
-                    cache.install_many(
-                        [(p, data.get(p)) for p in eligible_d],
-                        prefetched=False)
-                if eligible_s:
-                    cache.install_many(
-                        [(p, data.get(p)) for p in eligible_s],
-                        prefetched=True)
-                break
-            if stale:
-                counters["stale_fetch_dropped"] += stale
-
-
-def evict_batched(cs: "ComputeServer", tid: int, count: int,
-                  protect: set[int]):
-    """Generator: evict ``count`` pages; dirty victims' diffs ship as one
-    merge trip per home server instead of one put per page."""
-    system = cs.system
-    cache = system.cache_of(tid)
-    directory = system.directory
-    victims = cache.choose_victims(count, protect=protect)
-    diffs = []
-    for page in victims:
-        diff = cache.evict(page)
-        if diff is not None and not diff.empty:
-            diffs.append(diff)
-        # Owner-only surrender, as in the per-page path.
-        if directory.owner_of(page) == tid:
-            directory.clear_owner(page)
-        directory.remove_sharer(page, tid)
-    if diffs:
-        yield from flush_diffs_batched(cs, diffs)
-    cs.stats.counters["evictions"] += len(victims)
+        stale = 0
+        eligible_d = demand_pages
+        eligible_s = spec_pages
+        charged = False
+        while True:
+            eligible_d, dropped = _live(eligible_d)
+            stale += dropped
+            eligible_s, dropped = _live(eligible_s)
+            stale += dropped
+            need = len(eligible_d) - cache.free_pages
+            if need > 0:
+                yield from cs._evict(tid, need,
+                                     protect | set(server_pages))
+                continue
+            room = cache.free_pages - len(eligible_d)
+            if len(eligible_s) > room:
+                keep = room if room > 0 else 0
+                counters["prefetch_skipped_full"] += \
+                    len(eligible_s) - keep
+                eligible_s = eligible_s[:keep]
+            k = len(eligible_d) + len(eligible_s)
+            if k and not charged:
+                charged = True
+                delay = k * install_time
+                if not try_advance(delay):
+                    yield Timeout(delay)
+                    continue  # suspended: re-validate before installing
+            if eligible_d:
+                cache.install_many(
+                    [(p, data.get(p)) for p in eligible_d],
+                    prefetched=False)
+            if eligible_s:
+                cache.install_many(
+                    [(p, data.get(p)) for p in eligible_s],
+                    prefetched=True)
+            break
+        if stale:
+            counters["stale_fetch_dropped"] += stale
 
 
 def flush_diffs_batched(cs: "ComputeServer", diffs, category: str = "diff"):

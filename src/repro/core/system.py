@@ -98,12 +98,9 @@ class SamhitaSystem:
             self.directory = ShardedPageDirectory(n_shards)
             self.allocator = ShardedAllocator(self.config, n_shards)
         self.stats = StatSet("system")
-        #: Round-trip accounting (config.batched_round_trips): one record
-        #: per modeled batched trip, surfaced as stats_report's
-        #: ``round_trips`` namespace. None when the gate is off, so the
-        #: per-operation build carries no ledger branches at all.
-        self.rt_ledger = (RoundTripLedger()
-                          if self.config.batched_round_trips else None)
+        #: Round-trip accounting: one record per modeled batched trip,
+        #: surfaced as stats_report's ``round_trips`` namespace.
+        self.rt_ledger = RoundTripLedger()
 
         compute = compute_components or [c.name for c in topology.compute_components()]
         if not compute:
@@ -202,20 +199,15 @@ class SamhitaSystem:
             self.injector.detector = self.detector
             self.engine.deadlock_hooks.append(self.detector.on_deadlock)
 
-        # Gray-failure resilience (config.grayfail_armed): trip-time
-        # estimation for hedging, adaptive per-destination retransmit
-        # timers, per-destination circuit breakers. Armed only alongside a
-        # fault plan -- the machinery exists to survive injected slowness,
-        # and a fault-free run with the knobs on must stay on the clean
-        # trajectory (None checks only, CI-gated by --check-grayfail-off).
-        self.trip_rtt: RttEstimator | None = None
+        # Gray-failure resilience (config.grayfail_armed): adaptive
+        # per-destination retransmit timers and per-destination circuit
+        # breakers. Armed only alongside a fault plan -- the machinery
+        # exists to survive injected slowness, and a fault-free run with
+        # the knobs on must stay on the clean trajectory (None checks
+        # only, CI-gated by --check-grayfail-off).
         self.breakers: dict[str, CircuitBreaker] | None = None
         if self.injector is not None and self.config.grayfail_armed:
-            self.trip_rtt = RttEstimator()
             if self.config.adaptive_timeouts:
-                # Message-grain estimator for the transport's retransmit
-                # timer; separate from trip_rtt, which observes whole
-                # request->reply trips for the hedge deadline.
                 self.fabric.enable_adaptive_timeouts(RttEstimator())
             if self.config.retry_budget > 0:
                 self.breakers = {}
@@ -307,7 +299,6 @@ class SamhitaSystem:
             # IVY has no twins: exclusive pages write back whole.
             use_twins=(self.config.multiple_writer
                        and self.config.coherence == "regc"),
-            impl=self.config.eviction_impl,
             name=f"cache.t{tid}")
         self._regions[tid] = RegionTracker(f"regions.t{tid}")
         self._storelogs[tid] = StoreLog(self.config.layout)
@@ -378,34 +369,6 @@ class SamhitaSystem:
                                    self.config.breaker_cooldown)
             self.breakers[component] = guard
         return guard
-
-    def hedge_backup(self, home: int, primary_index: int, pages,
-                     tid: int) -> "MemoryServer | None":
-        """The backup server eligible to serve a hedged fetch of ``pages``
-        (all logically homed on ``home``), or None.
-
-        Eligible means: hedging armed, a live replica other than the
-        primary exists, and every page is owner-free -- an owned page
-        needs a recall that only its true home can run, and the backup's
-        WAL-replay catch-up covers applied diffs, not a writer's
-        uncollected ones (re-checked at serve time; see
-        :meth:`MemoryServer.serve_fetch_hedged`).
-        """
-        if not self.config.hedged_fetches:
-            return None
-        if self.config.replication_factor < 2:
-            return None
-        dead = self._dead_servers
-        backup = next((i for i in self.replica_ring(home)
-                       if i != primary_index and i not in dead), None)
-        if backup is None:
-            return None
-        owner_of = self.directory.owner_of
-        for page in pages:
-            owner = owner_of(page)
-            if owner is not None and owner != tid:
-                return None
-        return self.memory_servers[backup]
 
     def handle_shard_failure(self, index: int) -> None:
         """Control-plane failover: merge the dead manager shard's sync state
@@ -771,11 +734,10 @@ class SamhitaSystem:
                                                           backoffs)
                     continue
                 break
-            if self.rt_ledger is not None:
-                # Already one trip per home; the ledger only accounts it.
-                line_of = self.config.layout.line_of_page
-                self.rt_ledger.record(
-                    index, "merge", len({line_of(d.page) for d in group}))
+            # Already one trip per home; the ledger only accounts it.
+            line_of = self.config.layout.line_of_page
+            self.rt_ledger.record(
+                index, "merge", len({line_of(d.page) for d in group}))
 
     def barrier_wait(self, tid: int, barrier_id: int):
         """Generator: the RegC global consistency point.
@@ -873,13 +835,8 @@ class SamhitaSystem:
             if self.config.barrier_eager_refresh:
                 # Update-style: pull the merged pages back now, batched per
                 # home server, instead of lazily refaulting line by line.
-                cs = self.compute_server_of(tid)
-                if cs.batched_rt:
-                    from repro.core.rtbatch import fetch_batched
-                    yield from fetch_batched(cs, tid, dropped, [], set())
-                else:
-                    yield from cs._fetch_pages(
-                        tid, dropped, protect=set(), prefetched=False)
+                yield from rtbatch.fetch_batched(
+                    self.compute_server_of(tid), tid, dropped, [], set())
 
     def _combined_arrive(self, tid: int, comp: str, barrier_id: int,
                          notices: list[int]):
@@ -1004,15 +961,13 @@ class SamhitaSystem:
             prefetch["prefetch_accuracy"] = (
                 prefetch.get("prefetch_hits", 0) / installs)
         report["prefetch"] = prefetch
-        if self.rt_ledger is not None:
-            # The batched-round-trip ledger: per-home trip counts by kind
-            # plus the lines-per-trip histogram. Absent when the gate is
-            # off, so per-operation reports stay byte-identical.
-            trips = self.rt_ledger.snapshot()
-            recall_trips = report["memory_servers"].get("recall_trips")
-            if recall_trips:
-                trips["recall_trips"] = recall_trips
-            report["round_trips"] = trips
+        # The batched-round-trip ledger: per-home trip counts by kind plus
+        # the lines-per-trip histogram.
+        trips = self.rt_ledger.snapshot()
+        recall_trips = report["memory_servers"].get("recall_trips")
+        if recall_trips:
+            trips["recall_trips"] = recall_trips
+        report["round_trips"] = trips
         if self.config.lock_owner_cache:
             # One namespace for the ownership-cache protocol: hits and local
             # releases at the compute servers, revocations and barrier
@@ -1049,14 +1004,15 @@ class SamhitaSystem:
                          if k.startswith("integrity_")})
             report["replication"] = repl
         if self.config.grayfail_armed:
-            # One namespace for the gray-failure machinery: hedged trips,
-            # breaker activity and overload shedding. Absent when every
-            # knob is at its default, so baseline reports stay
+            # One namespace for the gray-failure machinery: breaker
+            # activity and overload shedding. (The ``hedges`` name outlived
+            # hedged fetches; the metric schema keeps it.) Absent when
+            # every knob is at its default, so baseline reports stay
             # byte-identical.
             hedges = {k: v for k, v in report["compute_servers"].items()
-                      if k.startswith(("hedge", "breaker_", "shed_"))}
+                      if k.startswith(("breaker_", "shed_"))}
             hedges.update({k: v for k, v in report["memory_servers"].items()
-                           if k.startswith(("sheds", "hedge_"))})
+                           if k.startswith("sheds")})
             if self.breakers:
                 hedges["breaker_opens"] = sum(
                     b.opens for b in self.breakers.values())

@@ -100,7 +100,7 @@ def _run_chaos(seeds=(11, 23, 47)) -> int:
             "counters": counters,
         })
         # The gray-failure profiles need the grayfail machine (replicated
-        # memory servers + hedging/breakers/admission control): a 10x
+        # memory servers + breakers/admission control): a 10x
         # slow server and a heavy-tailed jitter storm change timing only,
         # with the resilience counters surfaced next to the verdicts.
         gray = {
@@ -133,11 +133,8 @@ def _print_round_trips_row() -> None:
     params = JacobiParams(rows=64, cols=256, iterations=3)
     result = run_workload_direct("samhita", 4, spawn_jacobi, params,
                                  functional=True)
-    rt = result.stats.get("round_trips")
+    rt = result.stats["round_trips"]
     print("===== round trips (live, canonical jacobi cell) =====")
-    if not rt:
-        print("batched_round_trips off: per-operation protocol, no ledger")
-        return
     kinds: dict[str, int] = {}
     for per_kind in rt.get("by_home", {}).values():
         for kind, n in per_kind.items():

@@ -251,7 +251,7 @@ def slow_server(seed: int, component: str, factor: float, start: float,
 
     The server answers everything -- heartbeats included -- so the
     FailureDetector never suspects it; surviving this profile requires the
-    gray-failure layer (adaptive timeouts, hedged fetches, breakers,
+    gray-failure layer (adaptive timeouts, retry budgets, breakers,
     admission control), not the failover machinery.
     """
     return FaultPlan(seed=seed,
@@ -266,7 +266,7 @@ def jitter_storm(seed: int, rate: float = 0.15,
     Unlike :func:`latency_storm` (bounded uniform spikes on the main
     verdict stream), jitter draws a Pareto-tailed multiplier from its own
     stream: most stalls are small, a few are enormous -- the shape that
-    makes fixed timeouts and unhedged trips pathological.
+    makes fixed retransmit timeouts pathological.
     """
     return FaultPlan(seed=seed, jitter_rate=rate, jitter_time=jitter_time,
                      jitter_alpha=jitter_alpha)

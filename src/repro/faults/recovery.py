@@ -87,25 +87,18 @@ class DeadlockWatchdog:
 class RttEstimator:
     """Per-destination round-trip-time statistics for the gray-failure layer.
 
-    Tracks two views of the same sample stream, per destination component:
-
-    * Jacobson/Karels EWMAs (``srtt`` with gain 1/8, ``rttvar`` with gain
-      1/4) feeding :meth:`rto` -- the adaptive retransmission timeout
-      ``srtt + 4*rttvar`` that replaces the one-size
-      ``RetryPolicy.timeout`` when ``adaptive_timeouts`` is on;
-    * a sliding window of the last ``window`` raw samples feeding
-      :meth:`quantile` -- the empirical P-quantile lateness estimate the
-      hedger fires on.
+    Jacobson/Karels EWMAs per destination component (``srtt`` with gain
+    1/8, ``rttvar`` with gain 1/4) feeding :meth:`rto` -- the adaptive
+    retransmission timeout ``srtt + 4*rttvar`` that replaces the one-size
+    ``RetryPolicy.timeout`` when ``adaptive_timeouts`` is on.
 
     Pure arithmetic over observed simulated durations: deterministic, no
     RNG, no wall clock.
     """
 
-    def __init__(self, window: int = 64):
-        self.window = window
+    def __init__(self):
         self._srtt: dict[str, float] = {}
         self._rttvar: dict[str, float] = {}
-        self._samples: dict[str, list] = {}
 
     def observe(self, dst: str, sample: float) -> None:
         srtt = self._srtt.get(dst)
@@ -117,13 +110,6 @@ class RttEstimator:
             self._srtt[dst] = srtt + err / 8.0
             aerr = err if err >= 0.0 else -err
             self._rttvar[dst] += (aerr - self._rttvar[dst]) / 4.0
-        window = self._samples.setdefault(dst, [])
-        window.append(sample)
-        if len(window) > self.window:
-            del window[0]
-
-    def samples(self, dst: str) -> int:
-        return len(self._samples.get(dst, ()))
 
     def rto(self, dst: str, floor: float) -> float:
         """Adaptive retransmission timeout for ``dst``, never below
@@ -133,15 +119,6 @@ class RttEstimator:
             return floor
         rto = srtt + 4.0 * self._rttvar[dst]
         return rto if rto > floor else floor
-
-    def quantile(self, dst: str, q: float) -> float | None:
-        """Empirical ``q``-quantile of the sample window (None if empty)."""
-        window = self._samples.get(dst)
-        if not window:
-            return None
-        ordered = sorted(window)
-        index = int(q * (len(ordered) - 1))
-        return ordered[index]
 
 
 class RetryBudget:

@@ -91,12 +91,9 @@ class SoftwareCache:
         policy: EvictionPolicy = EvictionPolicy.DIRTY_BIASED,
         use_twins: bool = True,
         name: str = "cache",
-        impl: str = "heap",
     ):
         if capacity_pages < layout.pages_per_line:
             raise MemoryError_("cache must hold at least one full line")
-        if impl not in ("heap", "sorted"):
-            raise MemoryError_(f"unknown eviction impl {impl!r}")
         self.layout = layout
         self.capacity_pages = capacity_pages
         self.functional = functional
@@ -141,16 +138,15 @@ class SoftwareCache:
             self._clean_key_first, self._dirty_key_first = False, True
         else:
             self._clean_key_first = self._dirty_key_first = None
-        #: Lazy min-heap of ``(victim_key, page)`` records, or None under
-        #: the legacy full-sort implementation. The heap is *lazy*: records
-        #: go stale when a page is re-accessed (its key only grows then)
-        #: and are re-validated against the live entry at pop time. The one
-        #: key-DECREASING transition per policy (clean->dirty under the
-        #: dirty-biased default, dirty->clean under clean-first) gets an
-        #: eager push, so every resident page always owns at least one
-        #: record with key <= its current key -- which makes the pop
+        #: Lazy min-heap of ``(victim_key, page)`` records. The heap is
+        #: *lazy*: records go stale when a page is re-accessed (its key only
+        #: grows then) and are re-validated against the live entry at pop
+        #: time. The one key-DECREASING transition per policy (clean->dirty
+        #: under the dirty-biased default, dirty->clean under clean-first)
+        #: gets an eager push, so every resident page always owns at least
+        #: one record with key <= its current key -- which makes the pop
         #: sequence exactly the ascending sort order, victim for victim.
-        self._heap: list | None = [] if impl == "heap" else None
+        self._heap: list = []
         #: Resident-page count per cache line. ``missing_lines`` is a plain
         #: counter compare per line instead of a set intersection over the
         #: line's page range.
@@ -248,11 +244,9 @@ class SoftwareCache:
         line = page // self._pages_per_line
         counts = self._line_resident
         counts[line] = counts.get(line, 0) + 1
-        if self._heap is not None:
-            first = self._clean_key_first
-            heappush(self._heap,
-                     (self._tick if first is None else (first, self._tick),
-                      page))
+        first = self._clean_key_first
+        heappush(self._heap,
+                 (self._tick if first is None else (first, self._tick), page))
         counters = self.stats.counters
         counters["installs"] += 1
         if prefetched:
@@ -280,9 +274,7 @@ class SoftwareCache:
             entries[page] = CacheEntry(page, data, tick, prefetched)
             line = page // pages_per_line
             counts[line] = counts_get(line, 0) + 1
-            if heap is not None:
-                heappush(heap,
-                         (tick if first is None else (first, tick), page))
+            heappush(heap, (tick if first is None else (first, tick), page))
             append(page)
         self._tick = tick
         n = len(pages)
@@ -305,22 +297,15 @@ class SoftwareCache:
     def choose_victims(self, count: int, protect: Iterable[int] = ()) -> list[int]:
         """Pick ``count`` pages to evict under the configured policy.
 
-        Victim order is identical under both implementations: the heap's
-        records are the exact sort keys, and keys are unique (``_tick`` is
-        globally monotonic, so ``last_access`` never repeats), so ascending
-        heap pops reproduce the full sort's prefix bit-for-bit -- at
-        O(log n) per victim instead of O(n log n) per call.
+        Victims come out in ascending victim-key order: the heap's records
+        are the exact sort keys, and keys are unique (``_tick`` is globally
+        monotonic, so ``last_access`` never repeats), so ascending heap pops
+        reproduce a full sort's prefix bit-for-bit -- at O(log n) per victim
+        instead of O(n log n) per call.
         """
         if count <= 0:
             return []
         protected = set(protect)
-        if self._heap is None:
-            candidates = [e for p, e in self.entries.items() if p not in protected]
-            if len(candidates) < count:
-                raise MemoryError_(f"{self.name}: cannot evict {count} pages "
-                                   f"({len(candidates)} unprotected)")
-            candidates.sort(key=self._victim_key)
-            return [e.page for e in candidates[:count]]
         entries = self.entries
         available = len(entries) - len(protected & entries.keys())
         if available < count:
@@ -586,7 +571,7 @@ class SoftwareCache:
                                 ranges[-1] = (last_s, end_off)
                         else:
                             dirty.add(off, end_off)
-                    if newly_dirty and heap is not None:
+                    if newly_dirty:
                         # Clean->dirty is the one key-DECREASING transition
                         # of the dirty-biased order; file the live key
                         # eagerly so the lazy heap's min stays exact. The
@@ -662,19 +647,17 @@ class SoftwareCache:
         diff = self._diff_of(entry)
         entry.twin = None
         entry.dirty.clear()
-        if self._heap is not None:
-            # Dirty->clean decreases the clean-first key; re-file eagerly
-            # (a no-op for correctness under the other policies, whose keys
-            # only grow here -- the stale record is discarded at pop time).
-            heappush(self._heap, (self._victim_key(entry), page))
+        # Dirty->clean decreases the clean-first key; re-file eagerly (a
+        # no-op for correctness under the other policies, whose keys only
+        # grow here -- the stale record is discarded at pop time).
+        heappush(self._heap, (self._victim_key(entry), page))
         counters = self.stats.counters
         counters["diffs_taken"] += 1
         counters["diff_bytes"] += diff.payload_bytes
         return diff
 
     def take_diff_sizes(self, pages):
-        """Timing-mode bulk variant of :meth:`take_diff` for a recall batch
-        (``config.batched_round_trips``).
+        """Timing-mode bulk variant of :meth:`take_diff` for a recall batch.
 
         Returns ``(dirty_pages, payload_bytes, wire_bytes)`` summed over
         the dirty members of ``pages``, with take_diff's exact side
@@ -701,11 +684,10 @@ class SoftwareCache:
             wire += nbytes + header * len(ranges)
             entry.twin = None
             ranges.clear()
-            if heap is not None:
-                # Just cleaned: the key is (clean prefix, last_access).
-                heappush(heap,
-                         (entry.last_access if clean_first is None
-                          else (clean_first, entry.last_access), page))
+            # Just cleaned: the key is (clean prefix, last_access).
+            heappush(heap,
+                     (entry.last_access if clean_first is None
+                      else (clean_first, entry.last_access), page))
             dirty_pages.append(page)
         if dirty_pages:
             counters = self.stats.counters
@@ -754,5 +736,4 @@ class SoftwareCache:
         self.entries.clear()
         self._resident_mask[:] = False
         self._line_resident.clear()
-        if self._heap is not None:
-            self._heap.clear()
+        self._heap.clear()

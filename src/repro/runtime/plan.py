@@ -80,22 +80,3 @@ class AccessPlan:
 
     def __len__(self) -> int:
         return len(self.ops)
-
-
-def upcoming_spans(ops, start: int, limit: int = 32):
-    """The ``(addr, nbytes)`` spans of the next memory ops at/after ``start``.
-
-    Used by the plan-informed prefetch: after a miss mid-plan, the executor
-    hands the compute server the spans the plan is *about* to touch so
-    their lines can be fetched ahead of the demand faults. At most
-    ``limit`` spans are returned (compute intervals are skipped).
-    """
-    spans = []
-    for op in ops[start:]:
-        if op.kind == COMPUTE:
-            continue
-        if op.nbytes:
-            spans.append((op.addr, op.nbytes))
-            if len(spans) >= limit:
-                break
-    return spans

@@ -7,7 +7,7 @@ from repro.core.system import SamhitaSystem
 from repro.errors import BackendError
 from repro.hardware.cpu import ComputeCostModel
 from repro.runtime.backend import BaseBackend
-from repro.runtime.plan import COMPUTE, READ, upcoming_spans
+from repro.runtime.plan import COMPUTE, READ
 from repro.sim.engine import AdvanceTo, Timeout
 
 
@@ -114,16 +114,11 @@ class SamhitaBackend(BaseBackend):
         span_resident = cache.span_resident
         write_resident = system.write_resident
         cache_read = cache.read
-        # Plan-informed prefetch (adaptive data plane only): a miss mid-plan
-        # reveals exactly what the plan touches next, so hand those spans to
-        # the compute server for a batched look-ahead fetch.
-        plan_prefetch = (cs.prefetch_spans
-                         if system.config.batch_line_fetches else None)
         results = []
         charges = []
         target = engine.now
         pending = False
-        for i, op in enumerate(ops):
+        for op in ops:
             kind = op.kind
             if kind == COMPUTE:
                 dt = element_time(op.elements, op.flops)
@@ -138,10 +133,7 @@ class SamhitaBackend(BaseBackend):
                     yield AdvanceTo(target)
                     pending = False
                 t0 = engine.now
-                yield from cs.ensure_resident(
-                    tid, addr, nbytes, speculate=plan_prefetch is None)
-                if plan_prefetch is not None:
-                    plan_prefetch(tid, upcoming_spans(ops, i + 1))
+                yield from cs.ensure_resident(tid, addr, nbytes)
                 if kind == READ:
                     results.append(cache_read(addr, nbytes))
                 else:

@@ -3,13 +3,12 @@ deployment keep data bit-identical while the resilience machinery works.
 
 A gray failure changes *timing only*: a 10x-slow memory server or a
 Pareto-tailed jitter storm must never change final bytes. On top of data
-identity these cases assert the machinery actually ran -- Jacobi's
-neighbor reads produce owner-free bulk trips that hedge to the backup
-replica and shed under admission control until breakers open; MD is
-ownership-dominated (each thread writes its own particle block), so its
-trips are pinned to the true home and its resilience comes from
-admission control and shed backoff alone (hedges are a read-side
-mechanism; see DESIGN.md section 15)."""
+identity these cases assert the machinery actually ran -- admission
+control sheds requests at the single-slot queue, and under the slow
+server the sheds drain the retry budget until breakers open and trips
+degrade to the per-page path (see DESIGN.md section 15). The breaker
+evidence comes from an 8-thread cell: the 4-thread cell's 15 sheds never
+run the token bucket dry."""
 
 import hashlib
 
@@ -27,6 +26,11 @@ pytestmark = pytest.mark.chaos
 
 N_THREADS = 4
 JACOBI = JacobiParams(rows=64, cols=256, iterations=6, collect_result=True)
+#: The slow-server cell: enough concurrent fetches (85 sheds) to drain
+#: the retry budget and open breakers.
+SLOW_THREADS = 8
+SLOW_JACOBI = JacobiParams(rows=128, cols=512, iterations=6,
+                           collect_result=True)
 MD = MDParams(n_particles=48, steps=3, collect_energy=False,
               collect_state=True)
 
@@ -42,9 +46,9 @@ def grayfail_profiles(seed: int) -> dict:
     }
 
 
-def _run_jacobi(config=None):
-    result = run_workload_direct("samhita", N_THREADS, spawn_jacobi,
-                                 JACOBI, functional=True, config=config)
+def _run_jacobi(config=None, n_threads=N_THREADS, params=JACOBI):
+    result = run_workload_direct("samhita", n_threads, spawn_jacobi,
+                                 params, functional=True, config=config)
     gdiff, grid = result.threads[0].value
     return gdiff, hashlib.sha256(grid.tobytes()).hexdigest(), result
 
@@ -63,6 +67,13 @@ def jacobi_baseline():
 
 
 @pytest.fixture(scope="module")
+def slow_baseline():
+    gdiff, digest, result = _run_jacobi(SamhitaConfig.grayfail(),
+                                        SLOW_THREADS, SLOW_JACOBI)
+    return gdiff, digest, result.elapsed
+
+
+@pytest.fixture(scope="module")
 def md_baseline():
     digest, result = _run_md(SamhitaConfig.grayfail())
     return digest, result.elapsed
@@ -70,21 +81,27 @@ def md_baseline():
 
 @pytest.mark.parametrize("seed", chaos_seeds())
 @pytest.mark.parametrize("profile", ["slow_server", "jitter_storm"])
-def test_jacobi_survives_gray_failures(jacobi_baseline, profile, seed):
+def test_jacobi_survives_gray_failures(jacobi_baseline, slow_baseline,
+                                       profile, seed):
     plan = grayfail_profiles(seed)[profile]
-    gdiff, digest, result = _run_jacobi(SamhitaConfig.grayfail(faults=plan))
-    assert gdiff == jacobi_baseline[0]
-    assert digest == jacobi_baseline[1]
+    if profile == "slow_server":
+        baseline = slow_baseline
+        gdiff, digest, result = _run_jacobi(
+            SamhitaConfig.grayfail(faults=plan), SLOW_THREADS, SLOW_JACOBI)
+    else:
+        baseline = jacobi_baseline
+        gdiff, digest, result = _run_jacobi(
+            SamhitaConfig.grayfail(faults=plan))
+    assert gdiff == baseline[0]
+    assert digest == baseline[1]
     hedges = result.stats["hedges"]
-    assert hedges.get("hedges_issued", 0) > 0
     assert hedges.get("sheds", 0) > 0
     if profile == "slow_server":
-        # The acceptance counters: hedges won against the slow primary,
-        # breakers opened once the shed budget ran dry, and the storm
-        # cost at most 2x the fault-free elapsed time.
-        assert hedges.get("hedges_won", 0) > 0
+        # The acceptance counters: breakers opened once the shed budget
+        # ran dry, and the storm cost at most 2x the fault-free elapsed
+        # time.
         assert hedges.get("breaker_opens", 0) > 0
-        assert result.elapsed <= 2.0 * jacobi_baseline[2]
+        assert result.elapsed <= 2.0 * baseline[2]
     else:
         assert result.stats["faults"].get("jitter_stalls", 0) > 0
 
@@ -104,7 +121,7 @@ def test_md_survives_gray_failures(md_baseline, profile, seed):
 @pytest.mark.parametrize("seed", chaos_seeds())
 def test_gray_failures_replay_bit_identically(seed):
     """Same plan, same seed: the whole gray trajectory replays exactly,
-    hedge races and all."""
+    sheds and breaker transitions included."""
     plan = grayfail_profiles(seed)["slow_server"]
     first = _run_jacobi(SamhitaConfig.grayfail(faults=plan))
     second = _run_jacobi(SamhitaConfig.grayfail(faults=plan))
@@ -112,10 +129,3 @@ def test_gray_failures_replay_bit_identically(seed):
     assert first[2].elapsed == second[2].elapsed
     assert first[2].stats["hedges"] == second[2].stats["hedges"]
 
-
-def test_unhedged_storm_keeps_data_identical(jacobi_baseline):
-    """Hedging off under the same storm: slower tail, same bytes."""
-    plan = grayfail_profiles(11)["slow_server"]
-    gdiff, digest, _result = _run_jacobi(
-        SamhitaConfig.grayfail(faults=plan, hedged_fetches=False))
-    assert (gdiff, digest) == jacobi_baseline[:2]

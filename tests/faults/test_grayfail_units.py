@@ -38,24 +38,12 @@ class TestRttEstimator:
         assert est.rto("node1", floor=5e-4) == 5e-4
         assert est.rto("unknown", floor=5e-4) == 5e-4
 
-    def test_window_slides(self):
-        est = RttEstimator(window=4)
-        for i in range(10):
-            est.observe("node1", float(i))
-        assert est.samples("node1") == 4
-        # Window holds [6, 7, 8, 9]: the max quantile is the newest.
-        assert est.quantile("node1", 1.0) == 9.0
-        assert est.quantile("node1", 0.0) == 6.0
-
-    def test_quantile_of_empty_window_is_none(self):
-        assert RttEstimator().quantile("node1", 0.9) is None
-
     def test_destinations_are_independent(self):
         est = RttEstimator()
         est.observe("node1", 100e-6)
         est.observe("node2", 900e-6)
-        assert est.quantile("node1", 0.5) == 100e-6
-        assert est.quantile("node2", 0.5) == 900e-6
+        assert est.rto("node1", 0.0) == pytest.approx(100e-6 + 4 * 50e-6)
+        assert est.rto("node2", 0.0) == pytest.approx(900e-6 + 4 * 450e-6)
 
 
 class TestRetryBudget:

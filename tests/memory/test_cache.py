@@ -9,10 +9,9 @@ from repro.memory import EvictionPolicy, MemoryLayout, PageDiff, SoftwareCache
 L = MemoryLayout(page_bytes=4096, pages_per_line=4)
 
 
-def make(capacity=64, functional=True, policy=EvictionPolicy.DIRTY_BIASED,
-         impl="heap"):
+def make(capacity=64, functional=True, policy=EvictionPolicy.DIRTY_BIASED):
     return SoftwareCache(L, capacity_pages=capacity, functional=functional,
-                         policy=policy, impl=impl)
+                         policy=policy)
 
 
 def install_zero(cache, *pages, prefetched=False):
@@ -224,49 +223,54 @@ class TestFineGrain:
         assert 0 not in applied_offsets  # incoming bytes not re-shipped
 
 
+def victims(cache, impl, count):
+    """``count`` victims from the cache's heap, or from a reference full
+    sort of the resident entries by the policy's victim key."""
+    if impl == "heap":
+        return cache.choose_victims(count)
+    entries = sorted(cache.entries.values(), key=cache._victim_key)
+    return [e.page for e in entries[:count]]
+
+
 class TestEvictionBothImpls:
-    """The ablation policies under the heap and the legacy sort."""
+    """The ablation policies under the heap and a reference full sort."""
 
     @pytest.mark.parametrize("impl", ["heap", "sorted"])
     def test_clean_first_full_order(self, impl):
-        c = make(policy=EvictionPolicy.CLEAN_FIRST, impl=impl)
+        c = make(policy=EvictionPolicy.CLEAN_FIRST)
         install_zero(c, 0, 1, 2, 3)
         c.write(1 * 4096, 8, np.ones(8, np.uint8))   # page 1 dirty
         c.write(3 * 4096, 8, np.ones(8, np.uint8))   # page 3 dirty
         # Clean pages in install (LRU) order first, then the dirty ones.
-        assert c.choose_victims(4) == [0, 2, 1, 3]
+        assert victims(c, impl, 4) == [0, 2, 1, 3]
 
     @pytest.mark.parametrize("impl", ["heap", "sorted"])
     def test_clean_first_dirty_page_cleaned_by_diff_moves_class(self, impl):
-        c = make(policy=EvictionPolicy.CLEAN_FIRST, impl=impl)
+        c = make(policy=EvictionPolicy.CLEAN_FIRST)
         install_zero(c, 0, 1)
         c.write(0, 8, np.ones(8, np.uint8))
-        assert c.choose_victims(1) == [1]     # page 0 dirty: spared
+        assert victims(c, impl, 1) == [1]     # page 0 dirty: spared
         c.take_diff(0)                        # clean again (key decreases)
         # Both clean now; the write bumped page 0's recency, so LRU-within-
         # class puts page 1 (older touch) first.
-        assert c.choose_victims(2) == [1, 0]
+        assert victims(c, impl, 2) == [1, 0]
 
     @pytest.mark.parametrize("impl", ["heap", "sorted"])
     def test_lru_write_refreshes_recency(self, impl):
-        c = make(policy=EvictionPolicy.LRU, impl=impl)
+        c = make(policy=EvictionPolicy.LRU)
         install_zero(c, 0, 1, 2)
         c.write(0, 8, np.ones(8, np.uint8))   # page 0 now most recent
         c.read(2 * 4096, 8)                   # page 2 next
-        assert c.choose_victims(2) == [1, 0]
+        assert victims(c, impl, 2) == [1, 0]
 
     @pytest.mark.parametrize("impl", ["heap", "sorted"])
     def test_dirty_biased_cleaned_page_loses_priority(self, impl):
-        c = make(policy=EvictionPolicy.DIRTY_BIASED, impl=impl)
+        c = make(policy=EvictionPolicy.DIRTY_BIASED)
         install_zero(c, 0, 1, 2)
         c.write(2 * 4096, 8, np.ones(8, np.uint8))
-        assert c.choose_victims(1) == [2]     # dirty first
+        assert victims(c, impl, 1) == [2]     # dirty first
         c.take_diff(2)
-        assert c.choose_victims(1) == [0]     # all clean: plain LRU
-
-    def test_unknown_impl_rejected(self):
-        with pytest.raises(MemoryError_):
-            SoftwareCache(L, capacity_pages=8, impl="btree")
+        assert victims(c, impl, 1) == [0]     # all clean: plain LRU
 
 
 class TestLineResidency:

@@ -1,11 +1,11 @@
-"""Property test: heap eviction is bit-identical to the legacy full sort.
+"""Property test: heap eviction picks victims in full-sort order.
 
-The lazy min-heap (``impl="heap"``) claims its pop sequence equals the
-ascending sort the legacy implementation (``impl="sorted"``) produces --
-victim for victim, under every policy, through any interleaving of the
-operations that move a page between key classes (install, read, write,
-take_diff, evict, invalidate). Drive random op sequences through a paired
-cache and assert ``choose_victims`` never diverges.
+The lazy min-heap claims its pop sequence equals the ascending sort of
+the resident entries by victim key -- victim for victim, under every
+policy, through any interleaving of the operations that move a page
+between key classes (install, read, write, take_diff, evict, invalidate).
+Drive random op sequences through a cache and assert ``choose_victims``
+never diverges from that sort, computed here from ``_victim_key``.
 """
 
 import numpy as np
@@ -19,12 +19,16 @@ N_PAGES = 10
 PAGE = LAYOUT.page_bytes
 
 
-def _pair(policy):
-    caches = tuple(
-        SoftwareCache(LAYOUT, capacity_pages=N_PAGES, functional=True,
-                      policy=policy, name=impl, impl=impl)
-        for impl in ("heap", "sorted"))
-    return caches
+def _cache(policy):
+    return SoftwareCache(LAYOUT, capacity_pages=N_PAGES, functional=True,
+                         policy=policy)
+
+
+def _sorted_victims(cache, count, protect=()):
+    """The reference order: a full sort of the unprotected residents."""
+    candidates = [e for p, e in cache.entries.items() if p not in protect]
+    candidates.sort(key=cache._victim_key)
+    return [e.page for e in candidates[:count]]
 
 
 ops = st.one_of(
@@ -42,86 +46,70 @@ ops = st.one_of(
 @given(policy=st.sampled_from(list(EvictionPolicy)),
        script=st.lists(ops, min_size=1, max_size=60))
 def test_heap_matches_sorted_victims(policy, script):
-    heap_cache, sorted_cache = _pair(policy)
+    c = _cache(policy)
     for op, arg in script:
         if op == "install":
-            if arg in heap_cache.entries or heap_cache.free_pages == 0:
+            if arg in c.entries or c.free_pages == 0:
                 continue
-            for c in (heap_cache, sorted_cache):
-                c.install(arg, np.zeros(PAGE, np.uint8))
+            c.install(arg, np.zeros(PAGE, np.uint8))
         elif op == "read":
-            if arg not in heap_cache.entries:
+            if arg not in c.entries:
                 continue
-            for c in (heap_cache, sorted_cache):
-                c.read(arg * PAGE, 8)
+            c.read(arg * PAGE, 8)
         elif op == "write":
-            if arg not in heap_cache.entries:
+            if arg not in c.entries:
                 continue
-            payload = np.full(8, arg + 1, np.uint8)
-            for c in (heap_cache, sorted_cache):
-                c.write(arg * PAGE, 8, payload)
+            c.write(arg * PAGE, 8, np.full(8, arg + 1, np.uint8))
         elif op == "take_diff":
-            if arg not in heap_cache.entries:
+            if arg not in c.entries:
                 continue
-            for c in (heap_cache, sorted_cache):
-                c.take_diff(arg)
+            c.take_diff(arg)
         elif op == "evict":
-            if arg not in heap_cache.entries:
+            if arg not in c.entries:
                 continue
-            for c in (heap_cache, sorted_cache):
-                if arg in c.dirty_page_ids():
-                    c.take_diff(arg)
-                c.evict(arg)
+            if arg in c.dirty_page_ids():
+                c.take_diff(arg)
+            c.evict(arg)
         elif op == "invalidate":
-            if arg in heap_cache.dirty_page_ids():
+            if arg in c.dirty_page_ids():
                 continue
-            for c in (heap_cache, sorted_cache):
-                c.invalidate([arg])
+            c.invalidate([arg])
         else:  # victims
-            count = min(arg, len(heap_cache.entries))
+            count = min(arg, len(c.entries))
             if not count:
                 continue
-            assert (heap_cache.choose_victims(count)
-                    == sorted_cache.choose_victims(count))
+            assert c.choose_victims(count) == _sorted_victims(c, count)
     # Final full drain must agree too.
-    remaining = len(heap_cache.entries)
+    remaining = len(c.entries)
     if remaining:
-        assert (heap_cache.choose_victims(remaining)
-                == sorted_cache.choose_victims(remaining))
+        assert c.choose_victims(remaining) == _sorted_victims(c, remaining)
 
 
 @settings(max_examples=60, deadline=None)
 @given(policy=st.sampled_from(list(EvictionPolicy)),
        protect=st.sets(st.integers(0, N_PAGES - 1), max_size=N_PAGES - 2))
 def test_heap_matches_sorted_with_protection(policy, protect):
-    heap_cache, sorted_cache = _pair(policy)
+    c = _cache(policy)
     for page in range(N_PAGES):
-        for c in (heap_cache, sorted_cache):
-            c.install(page, np.zeros(PAGE, np.uint8))
+        c.install(page, np.zeros(PAGE, np.uint8))
     for page in (1, 4, 7):
-        payload = np.ones(8, np.uint8)
-        for c in (heap_cache, sorted_cache):
-            c.write(page * PAGE, 8, payload)
+        c.write(page * PAGE, 8, np.ones(8, np.uint8))
     count = N_PAGES - len(protect)
-    assert (heap_cache.choose_victims(count, protect=protect)
-            == sorted_cache.choose_victims(count, protect=protect))
+    assert (c.choose_victims(count, protect=protect)
+            == _sorted_victims(c, count, protect))
 
 
 def test_heap_compaction_rebuild_preserves_order():
     # Hammer one page with clean->dirty transitions to flood the heap with
     # stale records until the 4*len(entries)+64 rebuild threshold trips.
-    heap_cache, sorted_cache = _pair(EvictionPolicy.DIRTY_BIASED)
+    c = _cache(EvictionPolicy.DIRTY_BIASED)
     for page in range(N_PAGES):
-        for c in (heap_cache, sorted_cache):
-            c.install(page, np.zeros(PAGE, np.uint8))
+        c.install(page, np.zeros(PAGE, np.uint8))
     for i in range(200):
         page = i % N_PAGES
-        payload = np.full(8, (i % 250) + 1, np.uint8)
-        for c in (heap_cache, sorted_cache):
-            c.write(page * PAGE, 8, payload)
-            c.take_diff(page)
-    assert len(heap_cache._heap) > 4 * N_PAGES + 64  # stale flood built up
-    assert (heap_cache.choose_victims(N_PAGES)
-            == sorted_cache.choose_victims(N_PAGES))
+        c.write(page * PAGE, 8, np.full(8, (i % 250) + 1, np.uint8))
+        c.take_diff(page)
+    assert len(c._heap) > 4 * N_PAGES + 64  # stale flood built up
+    assert c.choose_victims(N_PAGES) == _sorted_victims(c, N_PAGES)
     # choose_victims detected the flood and rebuilt from live entries.
-    assert len(heap_cache._heap) <= 4 * N_PAGES + 64
+    assert len(c._heap) <= 4 * N_PAGES + 64
