@@ -51,10 +51,10 @@ BASELINE_SEED = {
     "best_of": 3,
     "commit": "cf352c7",
     "note": "same smoke campaign (fig03+fig12 --quick), serial, seed code",
-    # Scheduled-event count of the same campaign with the legacy per-event
-    # shape (measured via REPRO_NO_COALESCE=1, which restores it exactly);
-    # the seed code schedules at least this many. The --check-events gate
-    # in tools/bench_report.py compares against this.
+    # Scheduled-event count of the same campaign in the seed commit's
+    # per-event engine shape (every resumption queued, no coalescing),
+    # recorded once; the seed code schedules at least this many. The
+    # ``events`` gate in tools/bench_report.py compares against this.
     "events_scheduled": 557_529,
 }
 
@@ -62,7 +62,7 @@ BASELINE_SEED = {
 #: Trajectory fingerprint of the canonical functional Jacobi cell at the
 #: PR 9 commit (de37097), captured with the same ``_jacobi_fingerprint``
 #: shape. The default configuration (gray-failure machinery off) must
-#: reproduce this dict exactly -- the --check-grayfail-off gate in
+#: reproduce this dict exactly -- the ``grayfail_off`` gate in
 #: tools/bench_report.py compares them.
 PR9_FINGERPRINT = {
     "grid_sha256": ("2b3e7a116b07bdfd16475c9584b7b7e1"
@@ -175,7 +175,7 @@ def _jacobi_fingerprint(config) -> dict:
 
 def faults_off_fingerprint() -> dict:
     """Injector absent vs armed-but-silent: the two trajectories must be
-    bit-identical (the --check-faults-off gate compares these dicts)."""
+    bit-identical (the ``faults_off`` gate compares these dicts)."""
     from repro.core.params import SamhitaConfig
     from repro.faults import FaultPlan
 
@@ -187,7 +187,7 @@ def faults_off_fingerprint() -> dict:
 def replication_off_fingerprint() -> dict:
     """Default build vs explicit ``replication_factor=1``: the replication
     machinery must not exist at rf=1 -- no WAL, no checksums, no detector,
-    no extra events (the --check-replication-off gate compares these)."""
+    no extra events (the ``replication_off`` gate compares these)."""
     from repro.core.params import SamhitaConfig
 
     rf_absent, _ = _jacobi_fingerprint(None)
@@ -243,7 +243,7 @@ def _checkpoint_roundtrip() -> dict:
     """Mini barrier campaign run three ways: straight through; to a
     mid-round checkpoint whose machine is then discarded; and a fresh
     machine restored from that checkpoint replaying the rest. The final
-    bytes of (1) and (3) must match -- the --check-partition-safety gate
+    bytes of (1) and (3) must match -- the ``partition_safety`` gate
     compares them."""
     import hashlib
 
@@ -315,7 +315,7 @@ def _checkpoint_roundtrip() -> dict:
 
 
 def partition_safety_fingerprint() -> dict:
-    """The --check-partition-safety gate's evidence:
+    """The ``partition_safety`` gate's evidence:
 
     * a healthy run with ``fencing=True`` is bit-identical to the default
       build (the fence is pure bookkeeping until a failover mints an
@@ -415,7 +415,7 @@ def _prefetch_campaign(config) -> dict:
 def prefetch_comparison() -> dict:
     """The stride prefetcher over the Jacobi smoke campaign.
 
-    The ``--check-prefetch`` gate in tools/bench_report.py reads this
+    The ``prefetch`` gate in tools/bench_report.py reads this
     block: remote line fetches (``fetch_requests``, one per home-server
     round trip) and scheduled DES events must stay at or under the gate's
     ceilings, and prefetch accuracy must clear the gated floor.
@@ -489,7 +489,7 @@ def _sync_sweep_cell(n_compute: int, shards: int,
         "run_wall_s": round(run_wall, 4),
         "events_scheduled": engine.scheduled_events,
         "events_coalesced": engine.coalesced_events,
-        "epochs_run": getattr(engine, "epochs_run", 0),
+        "epochs_run": engine.epochs_run,
         "events_per_sec": (round(engine.scheduled_events / run_wall)
                            if run_wall else 0),
         "total_manager_rpcs": total,
@@ -505,7 +505,7 @@ def _sync_sweep_cell(n_compute: int, shards: int,
 def shard_scaling() -> dict:
     """16 -> 64 -> 256 compute-server sweep of the sharded control plane.
 
-    The ``--check-shard-scaling`` gate in tools/bench_report.py reads this
+    The ``shard_scaling`` gate in tools/bench_report.py reads this
     block: the ``manager_shards=1`` fingerprint must be bit-identical to
     the default build, per-shard RPC load must stay flat (<= 25%
     deviation) across the sweep, and hierarchical tree barriers must cut
@@ -582,7 +582,7 @@ def _rt_request_totals(config) -> dict:
 
 def batched_rt_comparison() -> dict:
     """Modeled round-trip requests of the batched protocol; the
-    --check-batched-rt gate's evidence.
+    ``batched_rt`` gate's evidence.
 
     Records the request messages over the fig12 smoke cells by category
     (the gate holds their total to a ceiling) and the canonical
@@ -620,7 +620,8 @@ def _grayfail_fingerprint(config) -> dict:
 
 
 def grayfail_comparison() -> dict:
-    """Gray-failure resilience evidence; the --check-grayfail gates' input.
+    """Gray-failure resilience evidence; the ``grayfail_off`` and ``grayfail``
+    gates' input.
 
     Four facts recorded:
 
@@ -664,7 +665,7 @@ def sweep_events_rate(best_of_n: int = 3) -> dict:
     Re-runs the 256-server sync-heavy cell ``best_of_n`` times and keeps
     the fastest run phase: the event count is deterministic, so only the
     wall-clock denominator jitters, and the max rate is the honest
-    "sustained" figure on a shared box. The ``--check-events-rate`` gate
+    "sustained" figure on a shared box. The ``events_rate`` gate
     in tools/bench_report.py reads this block.
     """
     n_compute, shards = SHARD_SWEEP[-1]

@@ -307,31 +307,30 @@ class ComputeServer:
             # No event can run inside the window, so the per-page re-checks
             # of the slow path are provably no-ops here.
             engine = self.engine
-            if engine.coalesce:
-                eligible = []
-                stale = 0
-                for p in server_pages:
-                    if p in entries:
-                        continue  # raced fill: silent skip, like below
-                    if epoch_get(p, 0) != snapshots[p]:
-                        stale += 1
-                    else:
-                        eligible.append(p)
-                k = len(eligible)
-                if k and cache.free_pages >= k:
-                    target = engine.now
-                    for _ in range(k):
-                        target = target + install_time
-                    if target <= engine._until and engine._next_time > target:
-                        engine.now = target
-                        engine._coalesced += k
-                        cache.install_many(
-                            [(p, data.get(p)) for p in eligible],
-                            prefetched=prefetched)
-                        if stale:
-                            counters["stale_fetch_dropped"] += stale
-                        counters["pages_fetched"] += len(server_pages)
-                        continue
+            eligible = []
+            stale = 0
+            for p in server_pages:
+                if p in entries:
+                    continue  # raced fill: silent skip, like below
+                if epoch_get(p, 0) != snapshots[p]:
+                    stale += 1
+                else:
+                    eligible.append(p)
+            k = len(eligible)
+            if k and cache.free_pages >= k:
+                target = engine.now
+                for _ in range(k):
+                    target = target + install_time
+                if target <= engine._until and engine._next_time > target:
+                    engine.now = target
+                    engine._coalesced += k
+                    cache.install_many(
+                        [(p, data.get(p)) for p in eligible],
+                        prefetched=prefetched)
+                    if stale:
+                        counters["stale_fetch_dropped"] += stale
+                    counters["pages_fetched"] += len(server_pages)
+                    continue
             for page in server_pages:
                 if page in entries:
                     continue  # raced with another fill

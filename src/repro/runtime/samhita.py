@@ -91,9 +91,8 @@ class SamhitaBackend(BaseBackend):
         change what this thread's *hits* observe (recalls serve owner data
         in place, and invalidation epochs only void non-resident fetches).
         IVY's eager write-invalidate can yank pages mid-window, so it keeps
-        the per-access path; REPRO_NO_COALESCE restores it everywhere."""
-        return (self.system.config.coherence == "regc"
-                and self.system.engine.coalesce)
+        the per-access path."""
+        return self.system.config.coherence == "regc"
 
     def run_plan(self, tid, ops):
         """Generator: execute plan ops, costing cache hits in bulk.

@@ -216,14 +216,9 @@ class Resource:
         but a contended grant schedules this process's resumption directly
         at its service-completion instant (one event instead of a wake at
         the grant plus a sleep). The unit stays held; the caller must
-        ``release()``. With coalescing off the legacy two-step shape is
-        used, so A/B runs compare like with like.
+        ``release()``.
         """
         engine = self.engine
-        if not engine.coalesce:
-            yield from self.request()
-            yield Timeout(duration)
-            return self
         self.total_requests += 1
         if self._in_use < self.capacity:
             self._in_use += 1
