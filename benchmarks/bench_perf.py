@@ -23,6 +23,7 @@ Run with::
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import os
 import pathlib
@@ -86,6 +87,24 @@ PR9_FINGERPRINT = {
 }
 
 
+#: The per-page classes whose constructions the ``page_objects`` gate counts
+#: (module, class). The cache, backing store and directory keep per-page
+#: state in columns and plain dicts; these classes survive only as on-demand
+#: inspection snapshots (and ``ByteRanges`` as the spill for a page whose
+#: dirty set is not one interval).
+PAGE_OBJECT_CLASSES = (
+    ("repro.memory.cache", "CacheEntry"),
+    ("repro.memory.diff", "ByteRanges"),
+    ("repro.memory.backing", "PageFrame"),
+)
+
+#: Constructions of those classes in one serial smoke campaign at commit
+#: b4955fb, the last one holding per-page state in objects (same counting
+#: as :func:`count_page_objects`; deterministic).
+PAGE_OBJECTS_BEFORE = {"CacheEntry": 156_059, "ByteRanges": 156_059,
+                       "PageFrame": 164_201}
+
+
 def run_smoke(executor=None, config=None) -> float:
     """Run the smoke campaign once; returns wall-clock seconds."""
     t0 = time.perf_counter()
@@ -139,6 +158,32 @@ class _RecordingExecutor(Executor):
                 self.cells.append({k: v for k, v in rec.items() if k != "_result"})
             out.append(rec["_result"])
         return out
+
+
+def count_page_objects() -> dict:
+    """One serial smoke campaign with the constructors of
+    :data:`PAGE_OBJECT_CLASSES` counted (a deterministic work counter)."""
+    counts: dict[str, int] = {}
+    patched = []
+    for module_name, class_name in PAGE_OBJECT_CLASSES:
+        cls = getattr(importlib.import_module(module_name), class_name)
+        counts[class_name] = 0
+
+        def counted(obj, *args, _init=cls.__init__, _name=class_name,
+                    **kwargs):
+            counts[_name] += 1
+            _init(obj, *args, **kwargs)
+
+        patched.append((cls, cls.__init__))
+        cls.__init__ = counted
+    try:
+        run_smoke()
+    finally:
+        for cls, init in patched:
+            cls.__init__ = init
+    return {"campaign": f"{'+'.join(SMOKE_FIGURES)} --quick, serial",
+            "counts": counts,
+            "before": PAGE_OBJECTS_BEFORE}
 
 
 def measure_cells() -> list[dict]:
@@ -722,6 +767,9 @@ def main(argv=None) -> int:
     print("per-cell instrumentation pass ...")
     cells = measure_cells()
 
+    print("per-page object constructions ...")
+    page_objects = count_page_objects()
+
     print("faults-off fingerprint + chaos counters ...")
     faults_off = faults_off_fingerprint()
     chaos = chaos_counters()
@@ -831,6 +879,7 @@ def main(argv=None) -> int:
             },
         },
         "events_rate": rate,
+        "page_objects": page_objects,
         "cells": cells,
         "prefetch": prefetch,
         "faults_off": faults_off,
@@ -864,6 +913,8 @@ def main(argv=None) -> int:
           f"({seed / cold:.2f}x vs seed)")
     warm_vs = f"({seed / warm:.0f}x vs seed)" if warm >= 0.005 else "(cached)"
     print(f"  workers{workers} warm cache  {warm:7.3f} s  {warm_vs}")
+    print(f"  per-page objects     {sum(page_objects['counts'].values()):,} "
+          f"(before: {sum(PAGE_OBJECTS_BEFORE.values()):,})")
     print(f"  scheduled events     {events_scheduled:,} "
           f"({seed_events / events_scheduled:.2f}x fewer than seed; "
           f"{events_coalesced:,} coalesced)")

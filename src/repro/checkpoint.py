@@ -106,10 +106,10 @@ class CheckpointStore:
         return iter(self._checkpoints)
 
 
-def _authoritative_bytes(system, page: int, frame):
+def _authoritative_bytes(system, page: int, data):
     """The freshest copy of ``page`` at a barrier quiesce point.
 
-    The home frame, unless the directory credits a thread with a
+    The home frame's bytes ``data``, unless the directory credits a thread with a
     lazily-held dirty copy -- the single-writer optimization leaves the
     home stale until the next recall, and the owner's resident cache entry
     is the true current bytes.
@@ -118,10 +118,9 @@ def _authoritative_bytes(system, page: int, frame):
     if owner is not None:
         cache = system._caches.get(owner)
         if cache is not None:
-            entry = cache.entries.get(page)
-            if entry is not None and entry.is_dirty and entry.data is not None:
-                return bytes(entry.data)
-    data = frame.data
+            held = cache.page_data(page)
+            if held is not None and cache.is_dirty(page):
+                return bytes(held)
     return bytes(data) if data is not None else None
 
 
@@ -134,13 +133,15 @@ def take_checkpoint(system) -> Checkpoint:
     for server in system.memory_servers:
         if system.is_server_dead(server.index):
             continue
-        for page, frame in server.backing.frames.items():
+        backing = server.backing
+        for page in backing.version:
             # Only the page's *resolved* home contributes: a backup's frame
             # is a passive copy that may lag the primary's apply stream.
             home = allocator.home_of_page(page)
             if directory.resolve_home(home) != server.index:
                 continue
-            pages[page] = _authoritative_bytes(system, page, frame)
+            pages[page] = _authoritative_bytes(system, page,
+                                               backing.data.get(page))
             page_homes[page] = home
     wal_marks = {server.index: server.wal._next_lsn
                  for server in system.memory_servers

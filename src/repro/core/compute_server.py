@@ -245,7 +245,7 @@ class ComputeServer:
             grouped = sorted(by_server.items())
 
         epoch_get = cache.inval_epoch.get
-        entries = cache.entries
+        entries = cache.resident_page_set()
         install_time = config.install_page_time
         try_advance = self.engine.try_advance
         counters = self.stats.counters
@@ -324,9 +324,7 @@ class ComputeServer:
                 if target <= engine._until and engine._next_time > target:
                     engine.now = target
                     engine._coalesced += k
-                    cache.install_many(
-                        [(p, data.get(p)) for p in eligible],
-                        prefetched=prefetched)
+                    cache.install_many(eligible, data, prefetched=prefetched)
                     if stale:
                         counters["stale_fetch_dropped"] += stale
                     counters["pages_fetched"] += len(server_pages)

@@ -109,6 +109,10 @@ class ShardedPageDirectory:
     def add_sharer(self, page: int, thread_id: int) -> None:
         self._part(page).add_sharer(page, thread_id)
 
+    def add_sharers(self, pages, thread_id: int) -> None:
+        for page in pages:
+            self.add_sharer(page, thread_id)
+
     def remove_sharer(self, page: int, thread_id: int) -> None:
         self._part(page).remove_sharer(page, thread_id)
 
@@ -130,8 +134,20 @@ class ShardedPageDirectory:
     def owner_of(self, page: int) -> int | None:
         return self._part(page).owner_of(page)
 
+    def foreign_owners(self, pages, thread_id: int) -> dict[int, list[int]]:
+        by_owner: dict[int, list[int]] = {}
+        for page in pages:
+            owner = self.owner_of(page)
+            if owner is not None and owner != thread_id:
+                by_owner.setdefault(owner, []).append(page)
+        return by_owner
+
     def clear_owner(self, page: int) -> None:
         self._part(page).clear_owner(page)
+
+    def clear_owners(self, pages) -> None:
+        for page in pages:
+            self.clear_owner(page)
 
     def owned_by(self, thread_id: int) -> list[int]:
         pages: list[int] = []

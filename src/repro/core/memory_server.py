@@ -22,7 +22,7 @@ from repro.errors import (
     StaleEpochError,
 )
 from repro.faults.recovery import RpcDedup
-from repro.memory.backing import BackingStore, PageFrame
+from repro.memory.backing import BackingStore
 from repro.memory.directory import PageDirectory
 from repro.memory.storelog import ReplicationLog
 from repro.sim.engine import Engine, Timeout
@@ -156,7 +156,7 @@ class MemoryServer:
             backing = self.backing
             read_page = backing.read_page
             functional = backing.functional
-            frames = backing.frames
+            versions = backing.version
             backing_counters = backing.stats.counters
             integrity = backing.integrity
             crcs: dict[int, int] | None = {} if integrity else None
@@ -181,8 +181,8 @@ class MemoryServer:
                     # to copy, only the frame-existence side effect and the
                     # read counter (fetches dominate the protocol hot path).
                     backing_counters["page_reads"] += 1
-                    if page not in frames:
-                        frames[page] = PageFrame(None)
+                    if page not in versions:
+                        versions[page] = 0
                         backing_counters["frames_created"] += 1
                     result[page] = None
             self.last_serve_crcs = crcs
@@ -206,12 +206,7 @@ class MemoryServer:
             counters = self.stats.counters
             counters["fetches"] += 1
             counters["pages_served"] += len(pages)
-            owner_of = self.directory.owner_of
-            by_owner: dict[int, list[int]] = {}
-            for page in pages:
-                owner = owner_of(page)
-                if owner is not None and owner != requester_tid:
-                    by_owner.setdefault(owner, []).append(page)
+            by_owner = self.directory.foreign_owners(pages, requester_tid)
             for owner in sorted(by_owner):
                 r = self._recall_bulk(owner, by_owner[owner])
                 if r is not None:
@@ -224,7 +219,7 @@ class MemoryServer:
             result = {}
             if functional or integrity:
                 read_page = backing.read_page
-                frames = backing.frames
+                versions = backing.version
                 backing_counters = backing.stats.counters
                 for page in pages:
                     add_sharer(page, requester_tid)
@@ -235,8 +230,8 @@ class MemoryServer:
                         result[page] = read_page(page)
                     else:
                         backing_counters["page_reads"] += 1
-                        if page not in frames:
-                            frames[page] = PageFrame(None)
+                        if page not in versions:
+                            versions[page] = 0
                             backing_counters["frames_created"] += 1
                         result[page] = None
             else:
@@ -310,9 +305,8 @@ class MemoryServer:
     def _recall_merge(self, owner_cache, owner_comp, page):
         """Plain: take the owner's diff and merge it; ``None`` or generator."""
         system = self._system
-        entry = owner_cache.entries.get(page)
         diff = None
-        if entry is not None and entry.is_dirty:
+        if owner_cache.is_dirty(page):
             diff = owner_cache.take_diff(page)
         # Ownership must clear atomically with the diff take: if it lingered
         # across the transfer below, the old owner's fast write path
@@ -355,9 +349,9 @@ class MemoryServer:
         counters = self.stats.counters
         counters["recalls"] += len(pages)
         counters["recall_trips"] += 1
-        line_of = self.config.layout.line_of_page
-        system.rt_ledger.record(self.index, "recall",
-                                len({line_of(p) for p in pages}))
+        system.rt_ledger.record(
+            self.index, "recall",
+            len(self.config.layout.lines_of_pages(pages)))
         owner_comp = system.component_of(owner_tid)
         t = system.scl.send(self.component, owner_comp, category="recall")
         if t is not None:
@@ -378,15 +372,13 @@ class MemoryServer:
         then one bulk transfer + merge."""
         system = self._system
         owner_cache = system.cache_of(owner_tid)
-        clear_owner = self.directory.clear_owner
         backing = self.backing
         if (not backing.functional and owner_cache.use_twins
                 and self.wal is None and not backing.integrity):
             # Timing fast path: a diff is pure sizes here, so take and
             # apply in bulk without materializing PageDiff objects.
             dirty_pages, payload, wire = owner_cache.take_diff_sizes(pages)
-            for page in pages:
-                clear_owner(page)
+            self.directory.clear_owners(pages)
             if not dirty_pages:
                 return None
             t = system.fabric.transfer_inline(
@@ -397,16 +389,9 @@ class MemoryServer:
             backing.apply_diff_sizes(dirty_pages, payload)
             self.stats.incr("recall_bytes", payload)
             return None
-        entries = owner_cache.entries
         take_diff = owner_cache.take_diff
-        diffs = []
-        for page in pages:
-            entry = entries.get(page)
-            if entry is not None and entry.is_dirty:
-                diff = take_diff(page)
-                if diff is not None:
-                    diffs.append(diff)
-            clear_owner(page)
+        diffs = [take_diff(page) for page in owner_cache.dirty_among(pages)]
+        self.directory.clear_owners(pages)
         if not diffs:
             return None
         for diff in diffs:
@@ -470,8 +455,7 @@ class MemoryServer:
                 if t is not None:
                     yield from t
                 cache = system.cache_of(sharer)
-                entry = cache.entries.get(page)
-                if entry is not None and entry.is_dirty:
+                if cache.is_dirty(page):
                     # Stale exclusivity: merge first.
                     diff = cache.take_diff(page)
                     self._wal_append(page, diff)

@@ -283,7 +283,7 @@ def speculative_pages(cs: "ComputeServer", tid: int, targets,
     recall owners, as they must.
     """
     cache = cs.system.cache_of(tid)
-    entries = cache.entries
+    entries = cache.resident_page_set()
     line_pages = cache.layout.line_pages
     allocated_only = cs._allocated_only
     owner_of = cs.system.directory.owner_of
@@ -311,7 +311,7 @@ def fault_lines_batched(cs: "ComputeServer", tid: int, lines,
     counters = cs.stats.counters
     allocated_only = cs._allocated_only
     line_pages = cache.layout.line_pages
-    entries = cache.entries
+    entries = cache.resident_page_set()
     demand: list[int] = []
     missed_lines: list[int] = []
     for line in lines:
@@ -373,13 +373,12 @@ def _fetch_batched_flight(cs: "ComputeServer", tid: int, demand: list[int],
 
     inval_epoch = cache.inval_epoch
     epoch_get = inval_epoch.get
-    entries = cache.entries
+    entries = cache.resident_page_set()
     install_time = system.config.install_page_time
     engine = cs.engine
     try_advance = engine.try_advance
     counters = cs.stats.counters
     ledger = system.rt_ledger
-    line_of = layout.line_of_page
     for home in sorted(grouped):
         demand_pages, spec_pages = grouped[home]
         server_pages = demand_pages + spec_pages
@@ -389,7 +388,7 @@ def _fetch_batched_flight(cs: "ComputeServer", tid: int, demand: list[int],
             continue  # breaker degrade: the per-page path installed them
         data, snapshots = trip
         ledger.record(home, "demand" if demand_pages else "speculative",
-                      len({line_of(p) for p in server_pages}))
+                      len(layout.lines_of_pages(server_pages)))
         counters["pages_fetched"] += len(server_pages)
 
         # The batched install leg: beta's per-page install cost is ONE
@@ -443,14 +442,8 @@ def _fetch_batched_flight(cs: "ComputeServer", tid: int, demand: list[int],
                 if not try_advance(delay):
                     yield Timeout(delay)
                     continue  # suspended: re-validate before installing
-            if eligible_d:
-                cache.install_many(
-                    [(p, data.get(p)) for p in eligible_d],
-                    prefetched=False)
-            if eligible_s:
-                cache.install_many(
-                    [(p, data.get(p)) for p in eligible_s],
-                    prefetched=True)
+            cache.install_many(eligible_d, data, prefetched=False)
+            cache.install_many(eligible_s, data, prefetched=True)
             break
         if stale:
             counters["stale_fetch_dropped"] += stale

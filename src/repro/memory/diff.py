@@ -9,8 +9,10 @@ Two representations coexist:
 
 * functional mode -- :func:`compute_diff_spans` extracts ``(offset, bytes)``
   spans by comparing real NumPy buffers;
-* timing mode -- :class:`ByteRanges` tracks dirty intervals without data, so
-  diff *sizes* (what the timing model needs) stay exact.
+* timing mode -- dirty intervals without data (the cache's dirty-bound
+  columns, spilling into a :class:`ByteRanges` when a page's dirty set is
+  not one interval), so diff *sizes* (what the timing model needs) stay
+  exact.
 """
 
 from __future__ import annotations
@@ -81,46 +83,6 @@ class ByteRanges:
         for s, e in other:
             self.add(s, e)
 
-    def gaps_within(self, start: int, end: int):
-        """Sub-ranges of [start, end) NOT covered by any interval.
-
-        The write path snapshots exactly these bytes before dirtying them:
-        already-dirty bytes were snapshotted by the write that dirtied them.
-        """
-        ranges = self._ranges
-        lo = bisect_right(ranges, (start,))
-        if lo and ranges[lo - 1][1] > start:
-            lo -= 1
-        cursor = start
-        for i in range(lo, len(ranges)):
-            s, e = ranges[i]
-            if s >= end:
-                break
-            if s > cursor:
-                yield cursor, s
-            if e > cursor:
-                cursor = e
-            if cursor >= end:
-                return
-        if cursor < end:
-            yield cursor, end
-
-    def cover_within(self, start: int, end: int):
-        """Sub-ranges of [start, end) covered by some interval (the
-        complement of :meth:`gaps_within` over the same window)."""
-        ranges = self._ranges
-        lo = bisect_right(ranges, (start,))
-        if lo and ranges[lo - 1][1] > start:
-            lo -= 1
-        for i in range(lo, len(ranges)):
-            s, e = ranges[i]
-            if s >= end:
-                break
-            lo_b = s if s > start else start
-            hi_b = e if e < end else end
-            if hi_b > lo_b:
-                yield lo_b, hi_b
-
     @property
     def nbytes(self) -> int:
         return sum(e - s for s, e in self._ranges)
@@ -146,6 +108,47 @@ class ByteRanges:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"ByteRanges({self._ranges!r})"
+
+
+def gaps_within(ranges, start: int, end: int):
+    """Sub-ranges of [start, end) NOT covered by any interval of the sorted,
+    disjoint ``ranges`` list.
+
+    The write path snapshots exactly these bytes before dirtying them:
+    already-dirty bytes were snapshotted by the write that dirtied them.
+    """
+    lo = bisect_right(ranges, (start,))
+    if lo and ranges[lo - 1][1] > start:
+        lo -= 1
+    cursor = start
+    for i in range(lo, len(ranges)):
+        s, e = ranges[i]
+        if s >= end:
+            break
+        if s > cursor:
+            yield cursor, s
+        if e > cursor:
+            cursor = e
+        if cursor >= end:
+            return
+    if cursor < end:
+        yield cursor, end
+
+
+def cover_within(ranges, start: int, end: int):
+    """Sub-ranges of [start, end) covered by some interval of ``ranges``
+    (the complement of :func:`gaps_within` over the same window)."""
+    lo = bisect_right(ranges, (start,))
+    if lo and ranges[lo - 1][1] > start:
+        lo -= 1
+    for i in range(lo, len(ranges)):
+        s, e = ranges[i]
+        if s >= end:
+            break
+        lo_b = s if s > start else start
+        hi_b = e if e < end else end
+        if hi_b > lo_b:
+            yield lo_b, hi_b
 
 
 def compute_diff_spans(twin: np.ndarray, current: np.ndarray) -> list[tuple[int, np.ndarray]]:
@@ -182,13 +185,13 @@ class SpanTwin:
     Equivalence with the whole-page twin (the reference the property tests
     pin against):
 
-    * changed bytes are confined to the entry's dirty ranges -- outside
+    * changed bytes are confined to the page's dirty ranges -- outside
       them, data only moves via consistency-region stores and incoming
       fine-grain updates, which the cache mirrors into the twin either way;
     * within a dirty range the pre-image is byte-identical to the page copy
       (snapshotted before the dirtying write, then kept in sync by the same
       CR mirroring);
-    * dirty ranges coalesce when touching (:meth:`ByteRanges.add`), so a
+    * dirty ranges coalesce when touching (as in :meth:`ByteRanges.add`), so a
       changed-byte run can never straddle a gap -- the gap byte is equal by
       construction and would split the run in the whole-page scan too.
 
@@ -201,29 +204,30 @@ class SpanTwin:
     def __init__(self, page_bytes: int):
         self.pre = np.empty(page_bytes, dtype=np.uint8)
 
-    def snapshot(self, data: np.ndarray, dirty: ByteRanges,
+    def snapshot(self, data: np.ndarray, dirty: list[tuple[int, int]],
                  start: int, end: int) -> None:
         """Capture pre-images of the not-yet-dirty bytes of [start, end).
 
-        Must run before ``dirty.add(start, end)`` and before the write
-        itself scatters into ``data``.
+        ``dirty`` is the page's sorted, disjoint dirty-range list. Must run
+        before [start, end) joins it and before the write itself scatters
+        into ``data``.
         """
         pre = self.pre
-        for s, e in dirty.gaps_within(start, end):
+        for s, e in gaps_within(dirty, start, end):
             pre[s:e] = data[s:e]
 
-    def mirror(self, chunk: np.ndarray, dirty: ByteRanges,
+    def mirror(self, chunk: np.ndarray, dirty: list[tuple[int, int]],
                start: int, end: int) -> None:
         """Keep the pre-image in sync with a consistency-region store of
         ``chunk`` at [start, end): those bytes must not surface in this
         writer's ordinary diff. Only the dirty overlap matters -- outside
         the dirty ranges the pre-image is never consulted."""
         pre = self.pre
-        for s, e in dirty.cover_within(start, end):
+        for s, e in cover_within(dirty, start, end):
             pre[s:e] = chunk[s - start:e - start]
 
     def diff_spans(self, current: np.ndarray,
-                   dirty: ByteRanges) -> list[tuple[int, np.ndarray]]:
+                   dirty: list[tuple[int, int]]) -> list[tuple[int, np.ndarray]]:
         """``(offset, changed_bytes)`` spans vs the pre-image, scanning only
         the dirty ranges (bit-identical to the whole-page scan)."""
         pre = self.pre
@@ -270,8 +274,9 @@ class PageDiff:
         self._payload = None
 
     @classmethod
-    def from_ranges(cls, page: int, ranges: ByteRanges) -> "PageDiff":
-        """Timing-mode diff: spans with sizes but no data."""
+    def from_ranges(cls, page: int, ranges) -> "PageDiff":
+        """Timing-mode diff: spans with sizes but no data. ``ranges`` is
+        any iterable of ``(start, end)`` pairs."""
         spans = [(s, None) for s, _ in ranges]
         sizes = [e - s for s, e in ranges]
         return cls(page, spans=spans, sizes=sizes)

@@ -9,6 +9,8 @@ Multi-writer pages are merged eagerly at the barrier and ownership clears.
 
 from __future__ import annotations
 
+from itertools import repeat
+
 from repro.sim.stats import StatSet
 
 
@@ -19,12 +21,14 @@ class PageDirectory:
     ownership; the eager write-invalidate (IVY-style) baseline needs the
     sharer lists to know whom to invalidate on a write. Sharer lists are
     conservative supersets -- a locally dropped copy may linger until the
-    next protocol action touches it.
+    next protocol action touches it. Each page's sharers are one int
+    bitmask (bit ``t`` = thread ``t``), as in the SMP model's coherent
+    cache, so tracking them allocates no per-page set.
     """
 
     def __init__(self, name: str = "directory"):
         self._owner: dict[int, int] = {}
-        self._sharers: dict[int, set[int]] = {}
+        self._sharers: dict[int, int] = {}
         #: Failover indirection over the allocator's static home function:
         #: logical home index -> live server index. Empty until a failover
         #: runs, so the healthy path is one falsy check.
@@ -58,32 +62,33 @@ class PageDirectory:
 
     # -- sharers ---------------------------------------------------------
     def add_sharer(self, page: int, thread_id: int) -> None:
-        sharers = self._sharers.get(page)
-        if sharers is None:
-            self._sharers[page] = {thread_id}
-        else:
-            sharers.add(thread_id)
+        sharers = self._sharers
+        sharers[page] = sharers.get(page, 0) | (1 << thread_id)
 
     def add_sharers(self, pages, thread_id: int) -> None:
         """Bulk :meth:`add_sharer` for a batch-served fetch: one call for
         the whole page list instead of one per page."""
         sharers = self._sharers
-        for page in pages:
-            s = sharers.get(page)
-            if s is None:
-                sharers[page] = {thread_id}
-            else:
-                s.add(thread_id)
+        sharers.update(zip(pages, map((1 << thread_id).__or__,
+                                      map(sharers.get, pages, repeat(0)))))
 
     def remove_sharer(self, page: int, thread_id: int) -> None:
-        sharers = self._sharers.get(page)
-        if sharers is not None:
-            sharers.discard(thread_id)
-            if not sharers:
+        mask = self._sharers.get(page)
+        if mask is not None:
+            mask &= ~(1 << thread_id)
+            if mask:
+                self._sharers[page] = mask
+            else:
                 del self._sharers[page]
 
     def sharers_of(self, page: int) -> set[int]:
-        return set(self._sharers.get(page, ()))
+        mask = self._sharers.get(page, 0)
+        sharers = set()
+        while mask:
+            low = mask & -mask
+            sharers.add(low.bit_length() - 1)
+            mask ^= low
+        return sharers
 
     def record_owner(self, page: int, thread_id: int) -> None:
         self._owner[page] = thread_id
@@ -101,9 +106,28 @@ class PageDirectory:
     def owner_of(self, page: int) -> int | None:
         return self._owner.get(page)
 
+    def foreign_owners(self, pages, thread_id: int) -> dict[int, list[int]]:
+        """Owner -> its pages (in ``pages`` order), for the pages some
+        thread other than ``thread_id`` owns: the recall groups of a
+        batched fetch, found with one C-level membership sweep."""
+        owner = self._owner
+        by_owner: dict[int, list[int]] = {}
+        for page in [p for p in pages if p in owner]:
+            tid = owner[page]
+            if tid != thread_id:
+                by_owner.setdefault(tid, []).append(page)
+        return by_owner
+
     def clear_owner(self, page: int) -> None:
         if self._owner.pop(page, None) is not None:
             self.stats.incr("owners_cleared")
+
+    def clear_owners(self, pages) -> None:
+        """Bulk :meth:`clear_owner`."""
+        pop = self._owner.pop
+        cleared = sum(pop(page, None) is not None for page in pages)
+        if cleared:
+            self.stats.counters["owners_cleared"] += cleared
 
     def owned_by(self, thread_id: int) -> list[int]:
         return sorted(p for p, t in self._owner.items() if t == thread_id)

@@ -59,6 +59,10 @@ class MemoryLayout:
     def line_of_addr(self, addr: int) -> int:
         return self.line_of_page(self.page_of(addr))
 
+    def lines_of_pages(self, pages) -> set[int]:
+        """The distinct lines holding ``pages`` (one C-level map)."""
+        return set(map(self.pages_per_line.__rfloordiv__, pages))
+
     def line_pages(self, line: int) -> range:
         first = line * self.pages_per_line
         return range(first, first + self.pages_per_line)

@@ -143,7 +143,7 @@ class TestPageIntegrity:
     def test_integrity_off_means_no_crc_bookkeeping(self):
         store = BackingStore(MemoryLayout(page_bytes=64), functional=True)
         store.apply_diff(make_diff(3, 0, b"\x11"))
-        assert store.frames[3].crc is None
+        assert store.frame(3).crc is None
         assert payload_crc_ok(store.read_page(3), None)
 
 

@@ -69,16 +69,17 @@ def test_checker_catches_planted_violations():
     rt.run()
     system = rt.backend.system
     # Plant a bogus ownership record: owner without dirty data.
-    some_clean_page = next(
-        p for p, e in system.cache_of(0).entries.items() if not e.is_dirty)
+    cache = system.cache_of(0)
+    some_clean_page = next(p for p in sorted(cache.resident_page_set())
+                           if not cache.is_dirty(p))
     system.directory.record_owner(some_clean_page, 0)
     with pytest.raises(InvariantViolation):
         check_invariants(system, quiescent=True)
     system.directory.clear_owner(some_clean_page)
 
-    # Plant a twin on a clean entry.
-    import numpy as np
-    entry = system.cache_of(0).entries[some_clean_page]
-    entry.twin = np.zeros(4096, np.uint8)
+    # Plant a twin on a clean page, in the cache's slot-keyed twin store.
+    from repro.memory.diff import SpanTwin
+    cache._twins[cache._slots[some_clean_page]] = SpanTwin(
+        cache.layout.page_bytes)
     with pytest.raises(InvariantViolation):
         check_invariants(system, quiescent=True)

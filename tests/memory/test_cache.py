@@ -223,17 +223,30 @@ class TestFineGrain:
         assert 0 not in applied_offsets  # incoming bytes not re-shipped
 
 
-def victims(cache, impl, count):
-    """``count`` victims from the cache's heap, or from a reference full
-    sort of the resident entries by the policy's victim key."""
-    if impl == "heap":
-        return cache.choose_victims(count)
-    entries = sorted(cache.entries.values(), key=cache._victim_key)
+def sorted_victims(cache, count):
+    """Reference order: a full sort of the residents by the policy key."""
+    def key(entry):
+        if cache.policy is EvictionPolicy.LRU:
+            return entry.last_access
+        dirty_last = cache.policy is EvictionPolicy.CLEAN_FIRST
+        return (entry.is_dirty == dirty_last, entry.last_access)
+    entries = sorted((cache.entry(p) for p in cache.resident_page_set()),
+                     key=key)
     return [e.page for e in entries[:count]]
 
 
+def victims(cache, impl, count):
+    """``count`` victims from ``choose_victims`` (test id ``heap``), checked
+    against the reference full sort, or from that sort alone (``sorted``)."""
+    if impl == "sorted":
+        return sorted_victims(cache, count)
+    chosen = cache.choose_victims(count)
+    assert chosen == sorted_victims(cache, count)
+    return chosen
+
+
 class TestEvictionBothImpls:
-    """The ablation policies under the heap and a reference full sort."""
+    """The ablation policies: ``choose_victims`` against a full sort."""
 
     @pytest.mark.parametrize("impl", ["heap", "sorted"])
     def test_clean_first_full_order(self, impl):
@@ -274,7 +287,7 @@ class TestEvictionBothImpls:
 
 
 class TestLineResidency:
-    """missing_lines is answered from the per-line resident counts."""
+    """missing_lines is answered from the residency bitmap."""
 
     def test_counts_track_evict(self):
         c = make()
@@ -307,7 +320,7 @@ class TestLineResidency:
         install_zero(c, 1)                    # refresh of a resident page
         c.evict(1)
         assert c.missing_lines(0, 4 * 4096) == [0]
-        assert c._line_resident == {0: 3}
+        assert c.missing_pages(0, 4 * 4096) == [1]
 
 
 class TestPrefetchAccounting:

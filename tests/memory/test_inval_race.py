@@ -50,7 +50,7 @@ class TestFetchInvalidateRace:
                               name="fetch")
         system.engine.run()
 
-        assert page in cache.entries
+        assert cache.resident(page)
         assert cs.stats.counters.get("stale_fetch_dropped", 0) == 0
 
     def test_invalidation_mid_flight_drops_install(self):
@@ -75,7 +75,7 @@ class TestFetchInvalidateRace:
         system.engine.process(invalidator(), name="invalidate")
         system.engine.run()
 
-        assert page not in cache.entries
+        assert not cache.resident(page)
         assert cs.stats.counters.get("stale_fetch_dropped", 0) >= 1
         # The epoch bump is what tripped the guard.
         assert cache.inval_epoch_of(page) == 1
@@ -97,10 +97,10 @@ class TestFetchInvalidateRace:
                               name="fetch")
         system.engine.process(invalidator(), name="invalidate")
         system.engine.run()
-        assert page not in cache.entries
+        assert not cache.resident(page)
 
         system.engine.process(cs._fetch_pages(tid, [page], set(), False),
                               name="refetch")
         system.engine.run()
-        assert page in cache.entries
+        assert cache.resident(page)
         assert cs.stats.counters.get("stale_fetch_dropped", 0) == 1

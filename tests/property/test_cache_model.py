@@ -110,8 +110,7 @@ def test_cache_matches_reference_model(operations):
             assert got == expected
         else:  # invalidate
             _, page = op
-            entry = cache.entries.get(page)
-            if entry is None or entry.is_dirty:
+            if not cache.resident(page) or cache.is_dirty(page):
                 continue  # protocol forbids invalidating dirty pages
             cache.invalidate([page])
             ref.invalidate(page)
@@ -137,7 +136,7 @@ def test_diff_roundtrip_reconstructs_home_page(writes):
             diff.apply_to(home[page])
 
     for page in range(N_PAGES):
-        assert np.array_equal(home[page], cache.entries[page].data)
+        assert np.array_equal(home[page], cache.page_data(page))
 
 
 @given(st.lists(st.tuples(st.integers(0, 1), st.integers(0, SPAN - 9),

@@ -1,11 +1,11 @@
-"""Property test: heap eviction picks victims in full-sort order.
+"""Property test: eviction picks victims in full-sort order.
 
-The lazy min-heap claims its pop sequence equals the ascending sort of
-the resident entries by victim key -- victim for victim, under every
-policy, through any interleaving of the operations that move a page
+``choose_victims`` claims its victims are the ascending sort of the
+resident pages by the policy's victim key -- victim for victim, under
+every policy, through any interleaving of the operations that move a page
 between key classes (install, read, write, take_diff, evict, invalidate).
-Drive random op sequences through a cache and assert ``choose_victims``
-never diverges from that sort, computed here from ``_victim_key``.
+Drive random op sequences through a cache and assert it never diverges
+from that sort, computed here from the cache's inspection snapshots.
 """
 
 import numpy as np
@@ -24,10 +24,20 @@ def _cache(policy):
                          policy=policy)
 
 
+def _victim_key(policy, entry):
+    """The paper's order (dirty first, then LRU) and its two ablations."""
+    if policy is EvictionPolicy.LRU:
+        return entry.last_access
+    if policy is EvictionPolicy.DIRTY_BIASED:
+        return (entry.dirty.empty, entry.last_access)
+    return (not entry.dirty.empty, entry.last_access)
+
+
 def _sorted_victims(cache, count, protect=()):
     """The reference order: a full sort of the unprotected residents."""
-    candidates = [e for p, e in cache.entries.items() if p not in protect]
-    candidates.sort(key=cache._victim_key)
+    candidates = [cache.entry(p) for p in cache.resident_page_set()
+                  if p not in protect]
+    candidates.sort(key=lambda e: _victim_key(cache.policy, e))
     return [e.page for e in candidates[:count]]
 
 
@@ -49,23 +59,23 @@ def test_heap_matches_sorted_victims(policy, script):
     c = _cache(policy)
     for op, arg in script:
         if op == "install":
-            if arg in c.entries or c.free_pages == 0:
+            if c.resident(arg) or c.free_pages == 0:
                 continue
             c.install(arg, np.zeros(PAGE, np.uint8))
         elif op == "read":
-            if arg not in c.entries:
+            if not c.resident(arg):
                 continue
             c.read(arg * PAGE, 8)
         elif op == "write":
-            if arg not in c.entries:
+            if not c.resident(arg):
                 continue
             c.write(arg * PAGE, 8, np.full(8, arg + 1, np.uint8))
         elif op == "take_diff":
-            if arg not in c.entries:
+            if not c.resident(arg):
                 continue
             c.take_diff(arg)
         elif op == "evict":
-            if arg not in c.entries:
+            if not c.resident(arg):
                 continue
             if arg in c.dirty_page_ids():
                 c.take_diff(arg)
@@ -75,12 +85,12 @@ def test_heap_matches_sorted_victims(policy, script):
                 continue
             c.invalidate([arg])
         else:  # victims
-            count = min(arg, len(c.entries))
+            count = min(arg, c.resident_pages)
             if not count:
                 continue
             assert c.choose_victims(count) == _sorted_victims(c, count)
     # Final full drain must agree too.
-    remaining = len(c.entries)
+    remaining = c.resident_pages
     if remaining:
         assert c.choose_victims(remaining) == _sorted_victims(c, remaining)
 
@@ -97,19 +107,3 @@ def test_heap_matches_sorted_with_protection(policy, protect):
     count = N_PAGES - len(protect)
     assert (c.choose_victims(count, protect=protect)
             == _sorted_victims(c, count, protect))
-
-
-def test_heap_compaction_rebuild_preserves_order():
-    # Hammer one page with clean->dirty transitions to flood the heap with
-    # stale records until the 4*len(entries)+64 rebuild threshold trips.
-    c = _cache(EvictionPolicy.DIRTY_BIASED)
-    for page in range(N_PAGES):
-        c.install(page, np.zeros(PAGE, np.uint8))
-    for i in range(200):
-        page = i % N_PAGES
-        c.write(page * PAGE, 8, np.full(8, (i % 250) + 1, np.uint8))
-        c.take_diff(page)
-    assert len(c._heap) > 4 * N_PAGES + 64  # stale flood built up
-    assert c.choose_victims(N_PAGES) == _sorted_victims(c, N_PAGES)
-    # choose_victims detected the flood and rebuilt from live entries.
-    assert len(c._heap) <= 4 * N_PAGES + 64

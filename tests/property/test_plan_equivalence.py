@@ -95,7 +95,7 @@ def _run(ops, functional, use_plan, config=None):
     backend = rt.backend
     assert backend.plans_supported, "plan path must actually engage"
     cache = backend.system.cache_of(0)
-    dirty_pages = sorted(p for p, e in cache.entries.items() if e.is_dirty)
+    dirty_pages = cache.dirty_page_ids()
     diffs = []
     for page in dirty_pages:
         diff = cache.take_diff(page)
@@ -106,7 +106,7 @@ def _run(ops, functional, use_plan, config=None):
     clock = result.threads[0].clock
     return {
         "results": captured["results"],
-        "resident": sorted(cache.entries),
+        "resident": sorted(cache.resident_page_set()),
         "diffs": diffs,
         "clock_compute": clock.compute,
         "clock_sync": clock.sync,

@@ -40,6 +40,10 @@ PUSHES = [
                    / br.MIN_EVENT_REDUCTION) + 1),
     ("events_rate", ("events_rate", "events_per_sec"),
      br.MIN_EVENTS_RATE - 1),
+    ("page_objects", ("page_objects", "counts", "ByteRanges"),
+     lambda r: br.MAX_PAGE_OBJECTS + 1
+     - sum(r["page_objects"]["counts"].values())
+     + r["page_objects"]["counts"]["ByteRanges"]),
     ("batched_rt", ("batched_rt", "requests", "total"),
      br.MAX_RT_REQUESTS + 1),
     ("prefetch", ("prefetch", "stride", "fetch_requests"),

@@ -20,6 +20,9 @@ The rows:
   pins the batching/coalescing win itself, not the wall it happens to buy.
 * ``events_rate`` -- the 256-server sweep cell sustains at least
   :data:`MIN_EVENTS_RATE` scheduled events/sec through its run phase.
+* ``page_objects`` -- per-page object constructions (``CacheEntry``,
+  ``ByteRanges``, ``PageFrame``) over the serial smoke campaign stay at or
+  under :data:`MAX_PAGE_OBJECTS`: the columnar data plane builds none.
 * ``batched_rt`` -- modeled round-trip request messages over the fig12
   smoke cells stay at or under :data:`MAX_RT_REQUESTS`.
 * ``prefetch`` -- the stride-prefetch Jacobi campaign's remote line fetches
@@ -60,6 +63,9 @@ import sys
 MAX_SMOKE_WALL_S = 3.0
 MIN_EVENT_REDUCTION = 3.0
 MIN_EVENTS_RATE = 100_000
+#: Per-page object constructions per smoke campaign, pinned at the value
+#: the columnar cache/backing/directory records (476,319 before them).
+MAX_PAGE_OBJECTS = 0
 #: Deterministic ceilings, pinned at the values the single batched fetch
 #: path records: modeled round-trip request messages over the fig12
 #: smoke cells, and the stride-prefetch campaign's remote line fetches and
@@ -112,6 +118,14 @@ def render(report: dict) -> str:
                      f"{rate['run_wall_s']:.3f} s, {rate['engine']} engine, "
                      f"best of {rate.get('best_of', 1)})")
         lines.append(f"  campaign: {rate.get('campaign')}")
+    objects = report.get("page_objects")
+    if objects:
+        lines.append("")
+        before = sum(objects.get("before", {}).values())
+        lines.append(f"per-page object constructions: "
+                     f"{sum(objects['counts'].values()):,} "
+                     f"{objects['counts']}  (before: {before:,}; "
+                     f"ceiling {MAX_PAGE_OBJECTS:,})")
     lines.append("")
     lines.append(f"{'cell':<34} {'wall (s)':>9} {'events':>9} "
                  f"{'coalesced':>9} {'events/s':>10} {'cache-op/s':>11}")
@@ -241,6 +255,13 @@ def gate_events_rate(rate: dict) -> tuple[bool, str]:
     return (per_sec >= MIN_EVENTS_RATE,
             f"{per_sec:,} events/s sustained on the 256-server sweep "
             f"({rate.get('engine')} engine; gate >= {MIN_EVENTS_RATE:,}/s)")
+
+
+def gate_page_objects(block: dict) -> tuple[bool, str]:
+    total = sum(block.get("counts", {}).values())
+    return (bool(block.get("counts")) and total <= MAX_PAGE_OBJECTS,
+            f"{total:,} per-page object constructions in the smoke campaign "
+            f"(gate <= {MAX_PAGE_OBJECTS:,})")
 
 
 def gate_batched_rt(block: dict) -> tuple[bool, str]:
@@ -388,6 +409,7 @@ GATES = (
     ("smoke_wall", "phases", gate_smoke_wall),
     ("events", "events", gate_events),
     ("events_rate", "events_rate", gate_events_rate),
+    ("page_objects", "page_objects", gate_page_objects),
     ("batched_rt", "batched_rt", gate_batched_rt),
     ("prefetch", "prefetch", gate_prefetch),
     ("faults_off", "faults_off", gate_faults_off),
