@@ -12,8 +12,6 @@ whose edges carry :class:`LinkModel` hops. Three builders cover the paper:
 
 from __future__ import annotations
 
-import networkx as nx
-
 from repro.errors import TopologyError
 from repro.hardware.node import Component, ComponentKind
 from repro.hardware.specs import NodeSpec, CoprocessorSpec, PENRYN_NODE, XEON_PHI_KNC
@@ -24,22 +22,29 @@ from repro.interconnect.scif import scif_link
 
 
 class Topology:
-    """Component graph with routed, link-priced paths."""
+    """Component graph with routed, link-priced paths.
+
+    Every builder produces a tree, so the only simple path between two
+    components is the route; a graph with a cycle is rejected by
+    :meth:`route`.
+    """
 
     def __init__(self, name: str = "topology"):
         self.name = name
-        self.graph = nx.Graph()
         self.components: dict[str, Component] = {}
+        #: Adjacency: component name -> {neighbour name: edge link}.
+        self.adj: dict[str, dict[str, LinkModel]] = {}
         self._route_cache: dict[tuple[str, str], list[LinkModel]] = {}
-        #: BFS parent/depth tables for the tree fast path in :meth:`route`;
-        #: rebuilt lazily after every :meth:`connect`.
-        self._tree: tuple[dict, dict] | None = None
+        #: BFS parent/depth/root tables for :meth:`route`; rebuilt lazily
+        #: after every :meth:`connect`.
+        self._tree: tuple[dict, dict, dict] | None = None
 
     def add(self, component: Component) -> Component:
         if component.name in self.components:
             raise TopologyError(f"duplicate component {component.name!r}")
         self.components[component.name] = component
-        self.graph.add_node(component.name)
+        self.adj[component.name] = {}
+        self._tree = None
         return component
 
     def connect(self, a: str, b: str, link: LinkModel) -> None:
@@ -50,9 +55,14 @@ class Topology:
         # per physical link, so two PCIe buses built from one template must
         # not share a queue.
         edge_link = link.with_(name=f"{link.name}[{a}~{b}]")
-        self.graph.add_edge(a, b, link=edge_link, weight=edge_link.latency)
+        self.adj[a][b] = edge_link
+        self.adj[b][a] = edge_link
         self._route_cache.clear()
         self._tree = None
+
+    @property
+    def n_links(self) -> int:
+        return sum(len(nbrs) for nbrs in self.adj.values()) // 2
 
     def component(self, name: str) -> Component:
         try:
@@ -61,7 +71,7 @@ class Topology:
             raise TopologyError(f"unknown component {name!r}") from None
 
     def route(self, src: str, dst: str) -> list[LinkModel]:
-        """The sequence of links on the latency-shortest path src -> dst."""
+        """The sequence of links on the unique path src -> dst."""
         if src == dst:
             return []
         key = (src, dst)
@@ -73,54 +83,53 @@ class Topology:
                 raise TopologyError(
                     f"unknown component {name!r} in route {src!r} -> {dst!r}")
         path = self._tree_path(src, dst)
-        if path is None:
-            try:
-                path = nx.shortest_path(self.graph, src, dst, weight="weight")
-            except nx.NetworkXNoPath:
-                raise TopologyError(f"no path {src!r} -> {dst!r}") from None
-        links = [self.graph.edges[u, v]["link"] for u, v in zip(path, path[1:])]
+        links = [self.adj[u][v] for u, v in zip(path, path[1:])]
         self._route_cache[key] = links
         self._route_cache[(dst, src)] = list(reversed(links))
         return links
 
-    def _tree_path(self, src: str, dst: str) -> list[str] | None:
-        """The unique simple path when the component graph is a tree.
+    def _forest(self) -> tuple[dict, dict, dict]:
+        """BFS parent, depth and root tables over every component.
 
-        All builders in this module produce trees (hub-and-spoke with
-        per-node access hops), where the weighted shortest path *is* the
-        only simple path -- so one BFS parent table replaces a Dijkstra per
-        component pair. Returns None (fall back to networkx) when the
-        graph has cycles; raises when src/dst are disconnected.
+        A forest has exactly ``components - trees`` edges; any more means a
+        cycle, where a path is no longer unique and routing is undefined.
         """
-        graph = self.graph
-        tables = self._tree
-        if tables is None:
-            if graph.number_of_edges() != graph.number_of_nodes() - 1:
-                return None  # has a cycle (or is a forest): not a tree
-            parent: dict[str, str | None] = {}
-            depth: dict[str, int] = {}
-            root = next(iter(graph.nodes))
+        parent: dict[str, str | None] = {}
+        depth: dict[str, int] = {}
+        root_of: dict[str, str] = {}
+        trees = 0
+        for root in self.adj:
+            if root in depth:
+                continue
+            trees += 1
             parent[root] = None
             depth[root] = 0
+            root_of[root] = root
             frontier = [root]
             while frontier:
                 nxt = []
                 for node in frontier:
                     d = depth[node] + 1
-                    for nb in graph.adj[node]:
+                    for nb in self.adj[node]:
                         if nb not in depth:
                             parent[nb] = node
                             depth[nb] = d
+                            root_of[nb] = root
                             nxt.append(nb)
                 frontier = nxt
-            if len(depth) != graph.number_of_nodes():
-                return None  # disconnected forest: let networkx report it
-            tables = (parent, depth)
-            self._tree = tables
-        parent, depth = tables
-        if src not in depth or dst not in depth:
+        if self.n_links != len(self.adj) - trees:
+            raise TopologyError(
+                f"topology {self.name!r} has a cycle; routes need a tree")
+        return parent, depth, root_of
+
+    def _tree_path(self, src: str, dst: str) -> list[str]:
+        """The unique simple path src -> dst, climbing both endpoints to
+        their lowest common ancestor in the BFS tree."""
+        if self._tree is None:
+            self._tree = self._forest()
+        parent, depth, root_of = self._tree
+        if root_of[src] != root_of[dst]:
             raise TopologyError(f"no path {src!r} -> {dst!r}")
-        # Climb both endpoints to their lowest common ancestor.
         up, down = [src], [dst]
         a, b = src, dst
         while depth[a] > depth[b]:
@@ -146,7 +155,7 @@ class Topology:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<Topology {self.name}: {len(self.components)} components, "
-                f"{self.graph.number_of_edges()} links>")
+                f"{self.n_links} links>")
 
 
 def smp_topology(node: NodeSpec = PENRYN_NODE) -> Topology:

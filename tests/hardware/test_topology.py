@@ -43,6 +43,17 @@ class TestTopologyCore:
         with pytest.raises(TopologyError):
             topo.route("a", "b")
 
+    def test_cycle_rejected(self):
+        topo = Topology()
+        for name in "abc":
+            topo.add(Component(name, ComponentKind.SWITCH))
+        topo.connect("a", "b", ib_qdr())
+        topo.connect("b", "c", ib_qdr())
+        assert len(topo.route("a", "c")) == 2
+        topo.connect("c", "a", ib_qdr())
+        with pytest.raises(TopologyError, match="cycle"):
+            topo.route("a", "c")
+
     def test_component_lookup(self):
         topo = smp_topology()
         assert topo.component("host").kind is ComponentKind.HOST
